@@ -3,18 +3,19 @@
 Modules:
 
 - ``zlinalg``: exact integer-lattice linear algebra (Smith decomposition,
-  saturated kernels, direct complements, unimodular decompositions).
+  saturated kernels, direct complements, the closed-form decomposition of a
+  vector into two unimodular summands).
 - ``nilcore``: group elements in normal form plus a naive rewriting oracle.
 - ``wordlang``: the group-word grammar and automorphism JSON documents.
 - ``autgroup``: automorphisms, the IA subgroup, conjugations, symmetries.
 - ``involutions``: involutions of GL(n, Z), canonical bases, square roots.
 - ``iastruct``: stabilizer splitting and primitive-element decoding.
+- ``sampling``: the seeded random constructions the checks draw from.
 - ``verify``: the seeded verification suite; ``cli``: the command line.
 """
 
 from .errors import (
     CanonicalizationPostconditionFailed,
-    DecompositionNotFound,
     DoesNotFixGenerator,
     FreeNil2Error,
     IndexOutOfRank,
@@ -51,7 +52,6 @@ __all__ = [
     "ZeroVector",
     "NotUnimodular",
     "NotASummand",
-    "DecompositionNotFound",
     "ParseError",
     "IndexOutOfRank",
     "InvalidAutomorphism",

@@ -14,6 +14,7 @@ and gives the exact inversion and witness-solving routines below.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
 from .errors import (
     IndexOutOfRank,
@@ -23,7 +24,7 @@ from .errors import (
     NotUnimodular,
     RankMismatch,
 )
-from .nilcore import Element, commutator, pair_index, pair_list
+from .nilcore import Element, pair_index, pair_list
 from .zlinalg import IntMatrix, inverse_unimodular, is_unimodular_matrix
 
 
@@ -58,10 +59,6 @@ class Automorphism:
         raise AttributeError("Automorphism is immutable")
 
     @classmethod
-    def from_images(cls, images) -> "Automorphism":
-        return cls(images)
-
-    @classmethod
     def identity(cls, rank: int) -> "Automorphism":
         return cls([Element.generator(rank, i) for i in range(1, rank + 1)])
 
@@ -93,18 +90,39 @@ class Automorphism:
 
 
 def apply(sigma: Automorphism, g: Element) -> Element:
-    """Image of g: substitute generator images into the normal form."""
+    """Image of g: substitute generator images into the normal form.
+
+    Computed in closed form rather than by multiplying powers out.  With
+    (x, c) * (y, d) = (x + y, c + d + b(x, y)), where b(x, y)[i, j] =
+    -x_j * y_i, a power is (a, c)^e = (e*a, e*c + C(e, 2) * b(a, a)) for
+    every integer e, and the commutator part of g adds sum c_ij [a_i, a_j].
+    """
     if sigma.rank != g.rank:
         raise RankMismatch(f"ranks {sigma.rank} and {g.rank} differ")
-    result = Element.identity(g.rank)
-    for img, exponent in zip(sigma.images, g.abelian):
-        if exponent:
-            result = result * img ** exponent
-    for (i, j), exponent in zip(pair_list(g.rank), g.comm):
-        if exponent:
-            base = commutator(sigma.images[i - 1], sigma.images[j - 1])
-            result = result * base ** exponent
-    return result
+    pairs = _zero_based_pairs(g.rank)
+    abelian = [0] * g.rank
+    comm = [0] * len(pairs)
+    for img, e in zip(sigma.images, g.abelian):
+        if not e:
+            continue
+        a, c = img.abelian, img.comm
+        half = e * (e - 1) // 2
+        for k, (i, j) in enumerate(pairs):
+            comm[k] += e * c[k] - (half * a[j] + e * abelian[j]) * a[i]
+        for i, x in enumerate(a):
+            abelian[i] += e * x
+    for (p, q), e in zip(pairs, g.comm):
+        if not e:
+            continue
+        a, b = sigma.images[p].abelian, sigma.images[q].abelian
+        for k, (i, j) in enumerate(pairs):
+            comm[k] += e * (a[i] * b[j] - a[j] * b[i])
+    return Element(g.rank, abelian, comm)
+
+
+@lru_cache(maxsize=None)
+def _zero_based_pairs(rank: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i - 1, j - 1) for i, j in pair_list(rank))
 
 
 def compose(sigma: Automorphism, rho: Automorphism) -> Automorphism:

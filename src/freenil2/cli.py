@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import autgroup, iastruct, involutions, verify
-from .errors import FreeNil2Error
+from .errors import FreeNil2Error, ParseError
 from .wordlang import format_automorphism, format_element, parse_automorphism, parse_element
 from .zlinalg import IntMatrix
 
@@ -36,7 +36,10 @@ def _load_matrix(arg: str) -> IntMatrix:
 
 
 def _load_basis_set(arg: str):
-    data = json.loads(_document_text(arg))
+    try:
+        data = json.loads(_document_text(arg))
+    except RecursionError as exc:
+        raise ParseError("JSON document nested too deeply") from exc
     if not isinstance(data, list):
         raise FreeNil2Error("basis set document must be a JSON array of automorphisms")
     return [parse_automorphism(doc) for doc in data]

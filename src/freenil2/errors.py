@@ -21,15 +21,6 @@ class NotASummand(FreeNil2Error):
     """Lattice basis does not span a direct summand (not saturated)."""
 
 
-class DecompositionNotFound(FreeNil2Error):
-    """Bounded search for a unimodular decomposition failed.
-
-    Distinct from the other errors on purpose: at finite rank the search is
-    existential and bounded, so exhaustion is an honest "not found within
-    radius", not a malformed input.
-    """
-
-
 class ParseError(FreeNil2Error):
     """Syntax error in the element grammar or a JSON document."""
 

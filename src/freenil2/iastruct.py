@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from . import autgroup
+from . import autgroup, sampling
 from .autgroup import Automorphism
 from .errors import (
     DoesNotFixGenerator,
@@ -25,7 +25,7 @@ from .errors import (
     NotIA,
     NotPrimitive,
 )
-from .nilcore import Element, pair_list
+from .nilcore import Element, offset_support_split
 from .report import CheckResult
 
 
@@ -43,14 +43,6 @@ class IASplit:
     minus: Automorphism
 
 
-def _offset_support_split(rank: int, i: int):
-    """Positions of comm coordinates on pairs containing / avoiding index i."""
-    through, avoiding = [], []
-    for k, (a, b) in enumerate(pair_list(rank)):
-        (through if i in (a, b) else avoiding).append(k)
-    return through, avoiding
-
-
 def classify_wrt_extremal(alpha: Automorphism, i: int) -> PMClass:
     """How conjugation by the standard involution inverting x_i acts on alpha.
 
@@ -61,7 +53,7 @@ def classify_wrt_extremal(alpha: Automorphism, i: int) -> PMClass:
     if not 1 <= i <= alpha.rank:
         raise IndexOutOfRank(f"generator index {i} outside 1..{alpha.rank}")
     offsets = autgroup.ia_offsets(alpha)
-    through, avoiding = _offset_support_split(alpha.rank, i)
+    through, avoiding = offset_support_split(alpha.rank, i)
     own = offsets[i - 1]
     others = [off for k, off in enumerate(offsets, start=1) if k != i]
     plus = all(own[p] == 0 for p in avoiding) and all(
@@ -102,7 +94,7 @@ def stabilizer_split(alpha: Automorphism, i: int) -> IASplit:
     offsets = autgroup.ia_offsets(alpha)
     if any(offsets[i - 1]):
         raise DoesNotFixGenerator(f"automorphism moves x{i}")
-    through, _ = _offset_support_split(alpha.rank, i)
+    through, _ = offset_support_split(alpha.rank, i)
     through_set = set(through)
     plus_offsets, minus_offsets = [], []
     for off in offsets:
@@ -137,50 +129,6 @@ def shifting_involution(rank: int, i: int, j: int) -> Automorphism:
     return psi
 
 
-def random_minus_member(rng: random.Random, rank: int, i: int, bound: int = 2) -> Automorphism:
-    """Random element of the minus factor of the stabilizer of x_i."""
-    through, _ = _offset_support_split(rank, i)
-    through_set = set(through)
-    npairs = len(pair_list(rank))
-    offsets = []
-    for k in range(1, rank + 1):
-        if k == i:
-            offsets.append((0,) * npairs)
-        else:
-            offsets.append(tuple(
-                rng.randint(-bound, bound) if p in through_set else 0
-                for p in range(npairs)
-            ))
-    return autgroup.ia_from_offsets(rank, offsets)
-
-
-def random_inverted_member_with_offset(rng: random.Random, rank: int, i: int,
-                                       bound: int = 2) -> Automorphism:
-    """Random automorphism inverted by the standard extremal involution at i
-    but moving x_i by a nontrivial central offset (needs rank >= 3)."""
-    if rank < 3:
-        raise ValueError("a nontrivial central offset on x_i needs rank >= 3")
-    through, avoiding = _offset_support_split(rank, i)
-    through_set = set(through)
-    npairs = len(pair_list(rank))
-    offsets = []
-    for k in range(1, rank + 1):
-        if k == i:
-            own = [0] * npairs
-            while not any(own):
-                own = [
-                    rng.randint(-bound, bound) if p in avoiding else 0
-                    for p in range(npairs)
-                ]
-            offsets.append(tuple(own))
-        else:
-            offsets.append(tuple(
-                rng.randint(-bound, bound) if p in through_set else 0
-                for p in range(npairs)
-            ))
-    return autgroup.ia_from_offsets(rank, offsets)
-
-
 def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed: int = 0) -> CheckResult:
     """Randomized check of the inversion criterion for the minus factor.
 
@@ -195,7 +143,7 @@ def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed:
     ran = 0
     for _ in range(trials):
         ran += 1
-        lam = random_minus_member(rng, rank, i)
+        lam = sampling.random_minus_member(rng, rank, i)
         if classify_wrt_extremal(lam, i) not in (PMClass.MINUS, PMClass.PLUS):
             return CheckResult("inversion_criterion", "fail", ran,
                                {"reason": "sampled member not inverted by the extremal involution"})
@@ -205,7 +153,7 @@ def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed:
             return CheckResult("inversion_criterion", "fail", ran,
                                {"member": format_automorphism(lam)})
         if rank >= 3:
-            bad = random_inverted_member_with_offset(rng, rank, i)
+            bad = sampling.random_inverted_member_with_offset(rng, rank, i)
             oracle = autgroup.compose(autgroup.compose(phi, bad), phi)
             if oracle != autgroup.invert(bad):
                 return CheckResult("inversion_criterion", "fail", ran,
@@ -248,10 +196,3 @@ def decode_triplet(tau: Automorphism, theta: Automorphism, taus) -> Element:
     if autgroup.apply(theta, result) != result.inverse():
         raise NoInvertedRepresentative("corrected representative is not inverted")
     return result
-
-
-def triplets_equivalent(t1, t2) -> bool:
-    """Whether two (tau, taus, theta) triplets decode to the same element."""
-    tau1, taus1, theta1 = t1
-    tau2, taus2, theta2 = t2
-    return decode_triplet(tau1, theta1, taus1) == decode_triplet(tau2, theta2, taus2)

@@ -10,8 +10,10 @@ vectors, and swapping pairs - the canonical form computed here.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
+from . import autgroup, sampling
 from .errors import (
     CanonicalizationPostconditionFailed,
     NotDiagonalizable,
@@ -19,14 +21,15 @@ from .errors import (
     OddNegativeRank,
 )
 from .report import ProbeResult
+from .wordlang import format_automorphism
 from .zlinalg import (
     IntMatrix,
     LatticeBasis,
-    _mul_rows,
-    _smith_rows,
-    _unimodular_inverse_rows,
     direct_complement,
     kernel_summand_basis,
+    mul_rows,
+    smith_rows,
+    unimodular_inverse_rows,
 )
 
 # The two noncentral involution classes of GL(2, Z) up to conjugacy, and for
@@ -162,9 +165,9 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
     # Smith decomposition (exact because P is saturated).
     plus_cols = [[v[i] for v in plus.vectors] for i in range(n)]
     if p0:
-        u_rows, _, v_rows = _smith_rows(plus_cols)
+        u_rows, _, v_rows = smith_rows(plus_cols)
         # columns of plus_cols = U^-1 * [I; 0] * V^-1; left inverse = V * (first p0 rows of U)
-        left_inv = _mul_rows(v_rows, [u_rows[i][:] for i in range(p0)])
+        left_inv = mul_rows(v_rows, [u_rows[i][:] for i in range(p0)])
     else:
         left_inv = []
 
@@ -190,7 +193,7 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
         k = len(pair_u_coords)
         basis_cols = [[col[i] for col in pair_u_coords + free_coords] for i in range(p0)] if p0 else []
         if p0:
-            coords = _solve_in_basis(_unimodular_inverse_rows(basis_cols), wc)
+            coords = _solve_in_basis(unimodular_inverse_rows(basis_cols), wc)
         else:
             coords = []
         alpha, beta = coords[:k], coords[k:]
@@ -255,7 +258,7 @@ def commuting_decomposition(f: IntMatrix, g: IntMatrix):
             # kernel of the stacked matrix [f + sf*I; g + sg*I]
             top = (f + identity if sf == 1 else f - identity).to_lists()
             bottom = (g + identity if sg == 1 else g - identity).to_lists()
-            _, d, v = _smith_rows(top + bottom)
+            _, d, v = smith_rows(top + bottom)
             vectors = [
                 tuple(v[i][j] for i in range(n)) for j in range(n) if d[j][j] == 0
             ]
@@ -295,7 +298,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
         a = p + 2 * t
         block[a + 1][a] = 1
         block[a][a + 1] = -1
-    h = basis * IntMatrix(block) * IntMatrix(_unimodular_inverse_rows(basis.to_lists()))
+    h = basis * IntMatrix(block) * IntMatrix(unimodular_inverse_rows(basis.to_lists()))
     if not (h * h) == f:
         raise CanonicalizationPostconditionFailed("square root construction failed")
     return h
@@ -324,48 +327,8 @@ def order_three_product_pair(n: int) -> tuple[IntMatrix, IntMatrix]:
 # three-conjugates probe
 # ---------------------------------------------------------------------------
 
-def _random_unimodular_word(rng, n: int, length: int) -> tuple[IntMatrix, IntMatrix]:
-    """Product of random elementary/permutation/sign generators and its
-    inverse, built together so no inversion is ever needed."""
-    m = IntMatrix.identity(n)
-    m_inv = IntMatrix.identity(n)
-    for _ in range(length):
-        kind = rng.randrange(3)
-        if kind == 0 and n >= 2:  # transvection: column j += e * column i
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            e = rng.choice((1, -1))
-            gen = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            gen[i][j] = e
-            inv = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            inv[i][j] = -e
-        elif kind == 1:  # swap two basis vectors
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            gen = [[0] * n for _ in range(n)]
-            for a in range(n):
-                gen[a][a] = 1
-            gen[i][i] = gen[j][j] = 0
-            gen[i][j] = gen[j][i] = 1
-            inv = [row[:] for row in gen]
-        else:  # sign flip
-            i = rng.randrange(n)
-            gen = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            gen[i][i] = -1
-            inv = [row[:] for row in gen]
-        m = m * IntMatrix(gen)
-        m_inv = IntMatrix(inv) * m_inv
-    return m, m_inv
-
-
 def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
                   candidate_triples) -> ProbeResult:
-    import random
-
     _require_involution(f)
     n = f.n
     rng = random.Random(seed)
@@ -387,7 +350,7 @@ def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
         ran += 1
         conjugates = []
         for _ in range(3):
-            c, c_inv = _random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
+            c, c_inv = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
             conjugates.append(c * f * c_inv)
         product = conjugates[0] * conjugates[1] * conjugates[2]
         if not (product * product).is_identity():
@@ -404,24 +367,15 @@ def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
 
 
 def _probe_automorphism(sigma, trials: int, seed: int, word_length: int) -> ProbeResult:
-    import random
-
-    from . import autgroup
-    from .wordlang import format_automorphism
-
     if not autgroup.compose(sigma, sigma).is_identity():
         raise NotInvolution("automorphism does not square to the identity")
     n = sigma.rank
     rng = random.Random(seed)
-    npairs = n * (n - 1) // 2
     for trial in range(trials):
         conjugates = []
         for _ in range(3):
-            matrix, _ = _random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
-            offsets = [
-                tuple(rng.randrange(-1, 2) for _ in range(npairs)) for _ in range(n)
-            ]
-            c = autgroup.compose(autgroup.lift(matrix), autgroup.ia_from_offsets(n, offsets))
+            matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
+            c = autgroup.compose(autgroup.lift(matrix), sampling.random_ia(rng, n, 1))
             conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
         product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
         if not autgroup.compose(product, product).is_identity():

@@ -29,6 +29,14 @@ def pair_list(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1))
 
 
+def offset_support_split(rank: int, i: int) -> tuple[list[int], list[int]]:
+    """Positions in the comm vector of the pairs containing / avoiding index i."""
+    through, avoiding = [], []
+    for k, (a, b) in enumerate(pair_list(rank)):
+        (through if i in (a, b) else avoiding).append(k)
+    return through, avoiding
+
+
 @lru_cache(maxsize=None)
 def _pair_pos(rank: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(pair_list(rank))}
@@ -100,10 +108,7 @@ class Element:
         abelianization: the exponent vector must have gcd 1."""
         if not any(self.abelian):
             raise ZeroVector("central elements are neither primitive nor imprimitive")
-        g = 0
-        for x in self.abelian:
-            g = gcd(g, x)
-        return g == 1
+        return gcd(*self.abelian) == 1
 
     # -- group operations ----------------------------------------------------
 

@@ -16,13 +16,6 @@ class ProbeResult:
     def found(self) -> bool:
         return self.status == "counterexample"
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "trials": self.trials,
-            "counterexample": self.counterexample,
-        }
-
 
 @dataclass(frozen=True)
 class CheckResult:

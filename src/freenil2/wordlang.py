@@ -150,6 +150,8 @@ def parse_automorphism(document):
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        except RecursionError as exc:
+            raise ParseError("JSON document nested too deeply") from exc
     if not isinstance(document, dict):
         raise ParseError("automorphism document must be a JSON object")
     if "rank" not in document or "images" not in document:
@@ -158,10 +160,10 @@ def parse_automorphism(document):
     images = document["images"]
     if not isinstance(rank, int) or rank < 2:
         raise ParseError("'rank' must be an integer >= 2")
-    if not isinstance(images, list) or len(images) != rank:
+    if (not isinstance(images, list) or len(images) != rank
+            or not all(isinstance(text, str) for text in images)):
         raise ParseError(f"'images' must list exactly {rank} element strings")
-    parsed = [parse_element(text, rank) for text in images]
-    return Automorphism.from_images(parsed)
+    return Automorphism([parse_element(text, rank) for text in images])
 
 
 def format_automorphism(sigma) -> dict:

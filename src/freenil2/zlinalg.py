@@ -11,23 +11,23 @@ standard basis vector.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotASummand, NotUnimodular, ZeroVector, DecompositionNotFound
+from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
 
 
 # ---------------------------------------------------------------------------
-# raw row-list helpers (module-internal; public API wraps them in IntMatrix)
+# raw row-list helpers (IntMatrix wraps them; involutions uses them on
+# rectangular and intermediate row lists)
 # ---------------------------------------------------------------------------
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     rows_b = len(b)
     cols_b = len(b[0])
     return [
@@ -104,7 +104,7 @@ def _rational_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _smith_rows(rows: list[list[int]]):
+def smith_rows(rows: list[list[int]]):
     """Smith decomposition of an m x n integer matrix.
 
     Returns (U, D, V) as row-lists with U (m x m) and V (n x n) unimodular,
@@ -202,12 +202,12 @@ def _smith_rows(rows: list[list[int]]):
     return u, a, v
 
 
-def _unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
-    u, d, v = _smith_rows(rows)
+def unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
+    u, d, v = smith_rows(rows)
     n = len(rows)
     if any(d[i][i] != 1 for i in range(n)):
         raise NotUnimodular(f"matrix has elementary divisors {[d[i][i] for i in range(n)]}")
-    return _mul_rows(v, u)
+    return mul_rows(v, u)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +252,14 @@ class IntMatrix:
         Decimal strings are accepted for entries too large to write as JSON
         numbers comfortably.
         """
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ParseError("JSON document nested too deeply") from exc
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError("expected a JSON array of rows")
+        if not all(type(x) in (int, str) for row in data for x in row):
+            raise ParseError("matrix entries must be integers or decimal strings")
         return cls([[int(x) for x in row] for row in data])
 
     def to_lists(self) -> list[list[int]]:
@@ -277,7 +282,7 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix ranks differ")
-        return IntMatrix(_mul_rows(self.to_lists(), other.to_lists()))
+        return IntMatrix(mul_rows(self.to_lists(), other.to_lists()))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -330,7 +335,7 @@ class LatticeBasis:
             raise ValueError("vectors are not linearly independent")
         if summand and vectors:
             cols = [[v[i] for v in vectors] for i in range(rank)]
-            _, d, _ = _smith_rows(cols)
+            _, d, _ = smith_rows(cols)
             divisors = [d[i][i] for i in range(len(vectors))]
             if any(di != 1 for di in divisors):
                 raise NotASummand(f"elementary divisors {divisors} are not all 1")
@@ -348,7 +353,7 @@ class LatticeBasis:
 
 def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U, V unimodular, U*M*V = D diagonal, d1 | d2 | ..."""
-    u, d, v = _smith_rows(m.to_lists())
+    u, d, v = smith_rows(m.to_lists())
     return IntMatrix(u), IntMatrix(d), IntMatrix(v)
 
 
@@ -357,7 +362,7 @@ def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
 
     Empty when the kernel is trivial; the full standard basis for M = 0.
     """
-    _, d, v = _smith_rows(m.to_lists())
+    _, d, v = smith_rows(m.to_lists())
     n = m.n
     vectors = [tuple(v[i][j] for i in range(n)) for j in range(n) if d[j][j] == 0]
     return LatticeBasis(n, vectors, summand=True)
@@ -378,10 +383,10 @@ def direct_complement(basis: LatticeBasis) -> LatticeBasis:
     if k == n:
         return LatticeBasis(n, [], summand=True)
     cols = [[v[i] for v in basis.vectors] for i in range(n)]
-    u, d, _ = _smith_rows(cols)
+    u, d, _ = smith_rows(cols)
     if any(d[i][i] != 1 for i in range(k)):
         raise NotASummand("basis does not span a direct summand")
-    u_inv = _unimodular_inverse_rows(u)
+    u_inv = unimodular_inverse_rows(u)
     vectors = [tuple(u_inv[i][j] for i in range(n)) for j in range(k, n)]
     return LatticeBasis(n, vectors, summand=True)
 
@@ -389,12 +394,9 @@ def direct_complement(basis: LatticeBasis) -> LatticeBasis:
 def is_unimodular_vector(vec) -> bool:
     """True iff the gcd of the entries is 1 (vector lies in some basis)."""
     vec = tuple(int(x) for x in vec)
-    if all(x == 0 for x in vec):
+    if not any(vec):
         raise ZeroVector("the zero vector is not unimodular nor imprimitive")
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*vec) == 1
 
 
 def is_unimodular_matrix(m: IntMatrix) -> bool:
@@ -403,65 +405,20 @@ def is_unimodular_matrix(m: IntMatrix) -> bool:
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a determinant +-1 matrix (integer entries)."""
-    return IntMatrix(_unimodular_inverse_rows(m.to_lists()))
+    return IntMatrix(unimodular_inverse_rows(m.to_lists()))
 
 
-def _shell(n: int, radius: int):
-    """Vectors in [-radius, radius]^n with max-norm exactly radius, in a
-    fixed deterministic order."""
-    for cand in itertools.product(range(-radius, radius + 1), repeat=n):
-        if max(abs(x) for x in cand) == radius:
-            yield cand
+def decompose_into_unimodular(vec) -> list[tuple[int, ...]]:
+    """Write vec as a sum of at most two unimodular vectors.
 
-
-def _gcd_vec(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
-
-
-def decompose_into_unimodular(vec, max_parts: int, radius: int = 8) -> list[tuple[int, ...]]:
-    """Write vec as a sum of at most max_parts unimodular vectors.
-
-    Bounded exhaustive search: first summands are enumerated over max-norm
-    shells of increasing radius.  Raises DecompositionNotFound when the search
-    space is exhausted -- at finite rank the two-summand claim is existential,
-    so exhaustion is reported distinctly rather than treated as a bug.
+    A unimodular vec is returned as is.  Otherwise the closed form
+    (1, v2 - 1, 0, ..., 0) + (v1 - 1, 1, v3, ..., vn) applies: each part has
+    an entry equal to 1, so both are unimodular.
     """
     vec = tuple(int(x) for x in vec)
-    n = len(vec)
-    if n < 2:
+    if len(vec) < 2:
         raise ValueError("decomposition requires ambient rank >= 2")
-    if max_parts not in (2, 3):
-        raise ValueError("max_parts must be 2 or 3")
-    if any(vec) and _gcd_vec(vec) == 1:
+    if gcd(*vec) == 1:
         return [vec]
-
-    def two_parts(target):
-        for rad in range(1, radius + 1):
-            for u in _shell(n, rad):
-                if _gcd_vec(u) != 1:
-                    continue
-                w = tuple(t - x for t, x in zip(target, u))
-                if any(w) and _gcd_vec(w) == 1:
-                    return [u, w]
-        return None
-
-    result = two_parts(vec)
-    if result is None and max_parts == 3:
-        for rad in range(1, radius + 1):
-            for u in _shell(n, rad):
-                if _gcd_vec(u) != 1:
-                    continue
-                rest = tuple(t - x for t, x in zip(vec, u))
-                if not any(rest):
-                    continue
-                tail = two_parts(rest)
-                if tail is not None:
-                    return [u] + tail
-    if result is None:
-        raise DecompositionNotFound(
-            f"no decomposition of {vec} into <= {max_parts} unimodular parts within radius {radius}"
-        )
-    return result
+    v1, v2, *rest = vec
+    return [(1, v2 - 1) + (0,) * len(rest), (v1 - 1, 1, *rest)]

@@ -10,7 +10,7 @@ import time
 from freenil2 import autgroup as ag
 from freenil2 import iastruct as ia
 from freenil2 import involutions as inv
-from freenil2 import verify
+from freenil2 import sampling, verify
 from freenil2.nilcore import Element, GeneratorWord, mul_fold, reduce_word
 from freenil2.zlinalg import IntMatrix
 
@@ -79,7 +79,7 @@ def test_06_three_conjugates_forward():
     ok = True
     for rank in range(2, 6):
         for _ in range(50):
-            theta = verify._random_symmetry_mod_ia(rng, rank)
+            theta = sampling.random_symmetry_mod_ia(rng, rank)
             result = inv.three_conjugates_probe(
                 theta, trials=1, seed=rng.randrange(2**32), word_length=8
             )
@@ -171,7 +171,7 @@ def test_13_triplet_decoding():
         taus = [ag.conjugation(Element.generator(rank, i)) for i in range(1, rank + 1)]
         theta0 = ag.symmetry_standard(rank)
         for _ in range(25):
-            beta = verify._random_ia(rng, rank)
+            beta = sampling.random_ia(rng, rank)
             theta = ag.compose(theta0, ag.compose(beta, beta))
             thetas += 1
             for i in range(1, rank + 1):

@@ -12,14 +12,9 @@ from freenil2.errors import (
     NotUnimodular,
     RankMismatch,
 )
-from freenil2.nilcore import Element, commutator
-from freenil2.verify import (
-    _brute_force_witness,
-    _random_automorphism,
-    _random_element,
-    _random_ia,
-    _random_unimodular,
-)
+from freenil2.nilcore import Element, commutator, pair_list
+from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
+from freenil2.verify import _brute_force_witness
 from freenil2.wordlang import parse_element
 from freenil2.zlinalg import IntMatrix
 
@@ -30,24 +25,24 @@ def elem(text, rank):
 
 class TestConstruction:
     def test_identity(self):
-        sigma = Automorphism.from_images(
+        sigma = Automorphism(
             [Element.generator(3, i) for i in (1, 2, 3)]
         )
         assert sigma == Automorphism.identity(3)
 
     def test_ia_images_accepted(self):
-        sigma = Automorphism.from_images(
+        sigma = Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)]
         )
         assert ag.is_ia(sigma)
 
     def test_determinant_two_rejected(self):
         with pytest.raises(InvalidAutomorphism):
-            Automorphism.from_images([elem("x1^2", 2), elem("x2", 2)])
+            Automorphism([elem("x1^2", 2), elem("x2", 2)])
 
     def test_mixed_ranks_rejected(self):
         with pytest.raises(RankMismatch):
-            Automorphism.from_images([Element.generator(2, 1), Element.generator(3, 2)])
+            Automorphism([Element.generator(2, 1), Element.generator(3, 2)])
 
 
 class TestApply:
@@ -69,12 +64,27 @@ class TestApply:
         rng = random.Random(2)
         for _ in range(40):
             n = rng.randint(2, 4)
-            sigma = _random_automorphism(rng, n)
-            g, h = _random_element(rng, n), _random_element(rng, n)
+            sigma = random_automorphism(rng, n)
+            g, h = random_element(rng, n), random_element(rng, n)
             assert ag.apply(sigma, g * h) == ag.apply(sigma, g) * ag.apply(sigma, h)
             assert ag.apply(sigma, commutator(g, h)) == commutator(
                 ag.apply(sigma, g), ag.apply(sigma, h)
             )
+
+    def test_matches_substitution(self):
+        # the closed form against multiplying the image powers out in order
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            sigma = ag.compose(random_automorphism(rng, n), random_ia(rng, n, bound=9))
+            g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],
+                        [rng.randint(-99, 99) for _ in range(n * (n - 1) // 2)])
+            expected = Element.identity(n)
+            for img, e in zip(sigma.images, g.abelian):
+                expected = expected * img ** e
+            for (i, j), e in zip(pair_list(n), g.comm):
+                expected = expected * commutator(sigma.image(i), sigma.image(j)) ** e
+            assert ag.apply(sigma, g) == expected
 
 
 class TestComposeInvert:
@@ -84,7 +94,7 @@ class TestComposeInvert:
         assert ag.invert(theta) == theta
 
     def test_invert_shear(self):
-        sigma = Automorphism.from_images([elem("x1*x2", 2), elem("x2", 2)])
+        sigma = Automorphism([elem("x1*x2", 2), elem("x2", 2)])
         inverse = ag.invert(sigma)
         assert ag.compose(sigma, inverse) == Automorphism.identity(2)
         assert ag.compose(inverse, sigma) == Automorphism.identity(2)
@@ -94,7 +104,7 @@ class TestComposeInvert:
         rng = random.Random(3)
         for _ in range(40):
             n = rng.randint(2, 4)
-            sigma = _random_automorphism(rng, n)
+            sigma = random_automorphism(rng, n)
             assert ag.compose(sigma, ag.invert(sigma)).is_identity()
             assert ag.compose(ag.invert(sigma), sigma).is_identity()
 
@@ -102,7 +112,7 @@ class TestComposeInvert:
         rng = random.Random(4)
         for _ in range(40):
             n = rng.randint(2, 4)
-            sigma, rho = _random_automorphism(rng, n), _random_automorphism(rng, n)
+            sigma, rho = random_automorphism(rng, n), random_automorphism(rng, n)
             assert ag.abelianize(ag.compose(sigma, rho)) == (
                 ag.abelianize(sigma) * ag.abelianize(rho)
             )
@@ -112,7 +122,7 @@ class TestAbelianizeLift:
     def test_examples(self):
         assert ag.abelianize(Automorphism.identity(2)) == IntMatrix.identity(2)
         assert ag.abelianize(ag.symmetry_standard(2)) == -IntMatrix.identity(2)
-        sigma = Automorphism.from_images([elem("x1*x2", 2), elem("x2", 2)])
+        sigma = Automorphism([elem("x1*x2", 2), elem("x2", 2)])
         assert ag.abelianize(sigma) == IntMatrix([[1, 0], [1, 1]])
 
     def test_lift_examples(self):
@@ -126,13 +136,13 @@ class TestAbelianizeLift:
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(2, 5)
-            m = _random_unimodular(rng, n)
+            m = random_unimodular(rng, n)
             assert ag.abelianize(ag.lift(m)) == m
 
     def test_is_ia(self):
         assert ag.is_ia(Automorphism.identity(3))
         assert ag.is_ia(
-            Automorphism.from_images([elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)])
+            Automorphism([elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)])
         )
         assert not ag.is_ia(ag.symmetry_standard(2))
 
@@ -142,7 +152,7 @@ class TestIAStructure:
         rng = random.Random(6)
         for _ in range(30):
             n = rng.randint(2, 4)
-            alpha, beta = _random_ia(rng, n), _random_ia(rng, n)
+            alpha, beta = random_ia(rng, n), random_ia(rng, n)
             assert ag.compose(alpha, beta) == ag.compose(beta, alpha)
             if not alpha.is_identity():
                 power = alpha
@@ -154,8 +164,8 @@ class TestIAStructure:
         rng = random.Random(7)
         for _ in range(30):
             n = rng.randint(2, 4)
-            theta = ag.compose(ag.symmetry_standard(n), _random_ia(rng, n))
-            alpha = _random_ia(rng, n)
+            theta = ag.compose(ag.symmetry_standard(n), random_ia(rng, n))
+            alpha = random_ia(rng, n)
             assert ag.compose(theta, ag.compose(alpha, theta)) == ag.invert(alpha)
             product = ag.compose(theta, alpha)
             assert ag.compose(product, product).is_identity()
@@ -164,7 +174,7 @@ class TestIAStructure:
         rng = random.Random(8)
         for _ in range(30):
             n = rng.randint(2, 4)
-            alpha = _random_ia(rng, n)
+            alpha = random_ia(rng, n)
             theta = ag.symmetry_standard(n)
             second = ag.compose(theta, alpha)
             assert ag.compose(theta, second) == alpha
@@ -180,7 +190,7 @@ class TestConjugation:
         rng = random.Random(9)
         for _ in range(30):
             n = rng.randint(2, 4)
-            g, h = _random_element(rng, n), _random_element(rng, n)
+            g, h = random_element(rng, n), random_element(rng, n)
             assert ag.compose(ag.conjugation(g), ag.conjugation(h)) == ag.conjugation(g * h)
 
     def test_kernel_is_centre(self):
@@ -197,14 +207,14 @@ class TestInnerWitness:
         assert witness is not None and witness.is_central()
 
     def test_solvable_example(self):
-        alpha = Automorphism.from_images([elem("x1*[x1,x2]", 2), elem("x2", 2)])
+        alpha = Automorphism([elem("x1*[x1,x2]", 2), elem("x2", 2)])
         witness = ag.inner_witness(alpha)
         assert witness is not None
         assert witness.abelian == (0, -1)
         assert ag.conjugation(witness) == alpha
 
     def test_unsolvable_example(self):
-        alpha = Automorphism.from_images(
+        alpha = Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)]
         )
         assert ag.inner_witness(alpha) is None
@@ -218,9 +228,9 @@ class TestInnerWitness:
         for _ in range(60):
             n = rng.randint(2, 4)
             if rng.random() < 0.5:
-                alpha = ag.conjugation(_random_element(rng, n, bound=2))
+                alpha = ag.conjugation(random_element(rng, n, bound=2))
             else:
-                alpha = _random_ia(rng, n, 1)
+                alpha = random_ia(rng, n, 1)
             solved = ag.inner_witness(alpha)
             brute = _brute_force_witness(alpha)
             assert (solved is None) == (brute is None)
@@ -253,7 +263,7 @@ class TestClassifyInvolution:
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(2, 4)
-            theta = ag.compose(ag.symmetry_standard(n), _random_ia(rng, n))
+            theta = ag.compose(ag.symmetry_standard(n), random_ia(rng, n))
             assert ag.compose(theta, theta).is_identity()
             assert ag.classify_involution(theta) is InvolutionKind.SYMMETRY_MOD_IA
 
@@ -267,7 +277,7 @@ class TestClassifyInvolution:
         assert ag.classify_involution(swap) is InvolutionKind.OTHER_INVOLUTION
 
     def test_not_involution(self):
-        shear = Automorphism.from_images([elem("x1*x2", 2), elem("x2", 2)])
+        shear = Automorphism([elem("x1*x2", 2), elem("x2", 2)])
         assert ag.classify_involution(shear) is InvolutionKind.NOT_INVOLUTION
 
 
@@ -294,7 +304,7 @@ class TestBasisConjugationSet:
         assert not ag.is_basis_conjugation_set(taus)
 
     def test_non_inner_rejected(self):
-        alpha = Automorphism.from_images(
+        alpha = Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)]
         )
         with pytest.raises(NotInner):
@@ -315,7 +325,7 @@ class TestAttachedSymmetry:
         rng = random.Random(12)
         for _ in range(20):
             n = rng.randint(2, 4)
-            beta = _random_ia(rng, n)
+            beta = random_ia(rng, n)
             theta = ag.compose(
                 ag.invert(beta), ag.compose(ag.symmetry_standard(n), beta)
             )
@@ -326,7 +336,7 @@ class TestAttachedSymmetry:
             assert ag.is_attached_symmetry(theta, self.standard(n))
 
     def test_odd_offset_not_attached(self):
-        gamma = Automorphism.from_images([elem("x1*[x1,x2]", 2), elem("x2", 2)])
+        gamma = Automorphism([elem("x1*[x1,x2]", 2), elem("x2", 2)])
         theta = ag.compose(ag.symmetry_standard(2), gamma)
         assert not ag.is_attached_symmetry(theta, self.standard(2))
 
@@ -348,7 +358,7 @@ class TestCentreless:
         rng = random.Random(13)
         for _ in range(30):
             n = rng.randint(2, 4)
-            sigma = _random_automorphism(rng, n)
+            sigma = random_automorphism(rng, n)
             if sigma.is_identity():
                 continue
             elementary = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

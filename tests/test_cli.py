@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freenil2.cli import main
 
@@ -113,6 +117,25 @@ class TestAutomorphismCommands:
         code, _, err = run(capsys, "classify", bad)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("images", [[1, 2], ["x1", None]])
+    def test_non_string_images_exit_code(self, capsys, images):
+        doc = json.dumps({"rank": 2, "images": images})
+        code, _, err = run(capsys, "classify", doc)
+        assert code == 2 and "element strings" in err
+
+    def test_deep_nesting_exit_code(self, capsys):
+        deep = "[" * 100_000
+        for argv in (["classify", deep], ["canon", deep],
+                     ["decode", "--tau", self.theta(), "--theta", self.theta(),
+                      "--basis-set", deep]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "nested too deeply" in err
+
+    @pytest.mark.parametrize("matrix", ["[[{}]]", "[[null]]", "[[1.5]]", "[[true, 0], [0, 1]]"])
+    def test_non_integer_matrix_entry_exit_code(self, capsys, matrix):
+        code, _, err = run(capsys, "canon", matrix)
+        assert code == 2 and "error" in err
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "theta.json"
         path.write_text(self.theta())
@@ -145,6 +168,11 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--rank-min", "9", "--rank-max", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_vacuous_pass(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--rank-max", "2", "--trials", trials)
+        assert code == 2 and "trials" in err and "PASS" not in out
+
     def test_report_schema(self, capsys):
         _, out, _ = run(capsys, "verify", "--rank-min", "2", "--rank-max", "2",
                         "--trials", "1", "--seed", "0", "--json")
@@ -160,3 +188,43 @@ def test_usage_without_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12,
+)
+element_texts = st.sampled_from(["1", "x1", "x2^-1", "x1*x2", "[x1,x2]^3", "x3"]) | st.text(max_size=12)
+# Inline documents only: a text that does not start with '{' or '[' is read as a path.
+documents = st.one_of(
+    st.integers(2, 3).flatmap(lambda n: st.fixed_dictionaries({
+        "rank": st.just(n),
+        "images": st.lists(element_texts | json_values, min_size=n, max_size=n),
+    })),
+    st.fixed_dictionaries({
+        "rank": st.integers(1, 4) | json_values,
+        "images": st.lists(element_texts | json_values, max_size=4) | json_values,
+    }),
+    st.lists(json_values, max_size=4),
+    st.dictionaries(st.text(max_size=8), json_values, max_size=4),
+).map(json.dumps)
+
+
+def exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents, element_texts)
+def test_fuzz_documents_exit_0_or_2(document, element):
+    assert exit_code("classify", "--", document) in (0, 2)
+    assert exit_code("apply", "--", document, element) in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_texts)
+def test_fuzz_element_text_exit_0_or_2(text):
+    assert exit_code("eval", "--rank", "3", "--", text) in (0, 2)

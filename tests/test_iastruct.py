@@ -12,7 +12,7 @@ from freenil2.errors import (
     NotPrimitive,
 )
 from freenil2.nilcore import Element, pair_count
-from freenil2.verify import _random_ia
+from freenil2.sampling import random_ia
 from freenil2.wordlang import parse_element
 
 
@@ -29,13 +29,13 @@ class TestClassifyWrtExtremal:
         assert ia.classify_wrt_extremal(ag.Automorphism.identity(3), 1) is ia.PMClass.PLUS
 
     def test_minus_example(self):
-        alpha = ag.Automorphism.from_images([elem("x1", 2), elem("x2*[x1,x2]", 2)])
+        alpha = ag.Automorphism([elem("x1", 2), elem("x2*[x1,x2]", 2)])
         assert ia.classify_wrt_extremal(alpha, 1) is ia.PMClass.MINUS
         phi = ag.extremal_standard(2, 1)
         assert ag.compose(phi, ag.compose(alpha, phi)) == ag.invert(alpha)
 
     def test_plus_example(self):
-        alpha = ag.Automorphism.from_images(
+        alpha = ag.Automorphism(
             [elem("x1", 3), elem("x2*[x2,x3]", 3), elem("x3", 3)]
         )
         assert ia.classify_wrt_extremal(alpha, 1) is ia.PMClass.PLUS
@@ -44,7 +44,7 @@ class TestClassifyWrtExtremal:
 
     def test_mixed_form_is_minus(self):
         # own offset avoiding the index, other offsets through it: inverted
-        alpha = ag.Automorphism.from_images(
+        alpha = ag.Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2*[x1,x2]", 3), elem("x3", 3)]
         )
         assert ia.classify_wrt_extremal(alpha, 1) is ia.PMClass.MINUS
@@ -53,7 +53,7 @@ class TestClassifyWrtExtremal:
 
     def test_neither(self):
         # own offset through the index but another image also moved through it
-        alpha = ag.Automorphism.from_images(
+        alpha = ag.Automorphism(
             [elem("x1*[x1,x2]", 2), elem("x2*[x1,x2]", 2)]
         )
         assert ia.classify_wrt_extremal(alpha, 1) is ia.PMClass.NEITHER
@@ -66,7 +66,7 @@ class TestClassifyWrtExtremal:
         for _ in range(120):
             n = rng.randint(2, 5)
             i = rng.randint(1, n)
-            alpha = _random_ia(rng, n, 1)
+            alpha = random_ia(rng, n, 1)
             phi = ag.extremal_standard(n, i)
             conj = ag.compose(phi, ag.compose(alpha, phi))
             got = ia.classify_wrt_extremal(alpha, i)
@@ -87,13 +87,13 @@ class TestIaTauContains:
         assert ia.fixes_primitive(ag.Automorphism.identity(2), Element.generator(2, 1))
 
     def test_moved_generator(self):
-        alpha = ag.Automorphism.from_images(
+        alpha = ag.Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)]
         )
         assert not ia.fixes_primitive(alpha, Element.generator(3, 1))
 
     def test_untouched_generator(self):
-        alpha = ag.Automorphism.from_images([elem("x1", 2), elem("x2*[x1,x2]", 2)])
+        alpha = ag.Automorphism([elem("x1", 2), elem("x2*[x1,x2]", 2)])
         assert ia.fixes_primitive(alpha, Element.generator(2, 1))
 
     def test_fixing_extends_to_coset(self):
@@ -123,19 +123,19 @@ class TestSplit:
         assert split.plus.is_identity() and split.minus.is_identity()
 
     def test_example(self):
-        alpha = ag.Automorphism.from_images(
+        alpha = ag.Automorphism(
             [elem("x1", 3), elem("x2*[x2,x3]*[x1,x2]", 3), elem("x3", 3)]
         )
         split = ia.stabilizer_split(alpha, 1)
-        assert split.plus == ag.Automorphism.from_images(
+        assert split.plus == ag.Automorphism(
             [elem("x1", 3), elem("x2*[x2,x3]", 3), elem("x3", 3)]
         )
-        assert split.minus == ag.Automorphism.from_images(
+        assert split.minus == ag.Automorphism(
             [elem("x1", 3), elem("x2*[x1,x2]", 3), elem("x3", 3)]
         )
 
     def test_pure_minus(self):
-        alpha = ag.Automorphism.from_images([elem("x1", 2), elem("x2*[x1,x2]^2", 2)])
+        alpha = ag.Automorphism([elem("x1", 2), elem("x2*[x1,x2]^2", 2)])
         split = ia.stabilizer_split(alpha, 1)
         assert split.plus.is_identity()
 
@@ -159,7 +159,7 @@ class TestSplit:
             assert again.minus == split.minus and again.plus.is_identity()
 
     def test_must_fix_generator(self):
-        alpha = ag.Automorphism.from_images([elem("x1*[x1,x2]", 2), elem("x2", 2)])
+        alpha = ag.Automorphism([elem("x1*[x1,x2]", 2), elem("x2", 2)])
         with pytest.raises(DoesNotFixGenerator):
             ia.stabilizer_split(alpha, 1)
 
@@ -181,14 +181,14 @@ class TestShiftingInvolutionCriterion:
         assert ag.compose(psi, ag.compose(lam, psi)) == ag.invert(lam)
 
     def test_minus_member_inverted(self):
-        lam = ag.Automorphism.from_images([elem("x1", 2), elem("x2*[x1,x2]", 2)])
+        lam = ag.Automorphism([elem("x1", 2), elem("x2*[x1,x2]", 2)])
         psi = ia.shifting_involution(2, 1, 2)
         assert ag.compose(psi, ag.compose(lam, psi)) == ag.invert(lam)
 
     def test_nontrivial_offset_detected(self):
         # moves x1 by a central offset avoiding index 1: inverted by the
         # extremal involution but not by the shifting involution
-        lam = ag.Automorphism.from_images(
+        lam = ag.Automorphism(
             [elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)]
         )
         phi = ag.extremal_standard(3, 1)
@@ -213,7 +213,7 @@ class TestDecodeTriplet:
 
     def test_shifted_symmetry(self):
         taus = standard_taus(2)
-        beta = ag.Automorphism.from_images([elem("x1*[x1,x2]", 2), elem("x2", 2)])
+        beta = ag.Automorphism([elem("x1*[x1,x2]", 2), elem("x2", 2)])
         theta = ag.compose(ag.symmetry_standard(2), ag.compose(beta, beta))
         decoded = ia.decode_triplet(taus[0], theta, taus)
         assert decoded == elem("x1*[x1,x2]^-1", 2)
@@ -240,7 +240,7 @@ class TestDecodeTriplet:
         rng = random.Random(4)
         taus = standard_taus(3)
         for _ in range(20):
-            beta = _random_ia(rng, 3)
+            beta = random_ia(rng, 3)
             theta = ag.compose(ag.symmetry_standard(3), ag.compose(beta, beta))
             i = rng.randint(1, 3)
             decoded = ia.decode_triplet(taus[i - 1], theta, taus)
@@ -256,17 +256,25 @@ class TestDecodeTriplet:
 
 
 class TestTripletsEquivalent:
+    """Two (tau, taus, theta) triplets are equivalent when they decode to the
+    same element."""
+
     def test_identical(self):
-        taus = standard_taus(2)
         theta = ag.symmetry_standard(2)
-        assert ia.triplets_equivalent((taus[0], taus, theta), (taus[0], taus, theta))
+        rebuilt = ag.Automorphism([elem("x1^-1", 2), elem("x2^-1", 2)])
+        taus = standard_taus(2)
+        assert ia.decode_triplet(taus[0], theta, taus) == (
+            ia.decode_triplet(standard_taus(2)[0], rebuilt, standard_taus(2))
+        )
 
     def test_different_square_differs(self):
         taus = standard_taus(2)
         theta0 = ag.symmetry_standard(2)
-        beta = ag.Automorphism.from_images([elem("x1*[x1,x2]", 2), elem("x2", 2)])
+        beta = ag.Automorphism([elem("x1*[x1,x2]", 2), elem("x2", 2)])
         theta2 = ag.compose(theta0, ag.compose(beta, beta))
-        assert not ia.triplets_equivalent((taus[0], taus, theta0), (taus[0], taus, theta2))
+        assert ia.decode_triplet(taus[0], theta0, taus) != (
+            ia.decode_triplet(taus[0], theta2, taus)
+        )
 
     def test_basis_independence(self):
         # same tau and theta, different basis sets containing tau
@@ -276,4 +284,4 @@ class TestTripletsEquivalent:
         taus_b = [tau1, ag.conjugation(Element(n, (1, 1)))]
         assert ag.is_basis_conjugation_set(taus_b)
         theta = ag.symmetry_standard(n)
-        assert ia.triplets_equivalent((tau1, taus_a, theta), (tau1, taus_b, theta))
+        assert ia.decode_triplet(tau1, theta, taus_a) == ia.decode_triplet(tau1, theta, taus_b)

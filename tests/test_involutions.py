@@ -10,7 +10,7 @@ from freenil2.errors import (
     NotInvolution,
     OddNegativeRank,
 )
-from freenil2.verify import _random_involution_matrix, _random_symmetry_mod_ia
+from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
 from freenil2.zlinalg import IntMatrix, is_unimodular_matrix
 
 
@@ -72,7 +72,7 @@ class TestPlusMinus:
         rng = random.Random(1)
         for _ in range(60):
             n = rng.randint(2, 5)
-            f = _random_involution_matrix(rng, n)
+            f = random_involution_matrix(rng, n)
             pm = inv.plus_minus(f)
             assert len(pm.plus) + len(pm.minus) == n
 
@@ -117,7 +117,7 @@ class TestCanonicalForm:
         rng = random.Random(2)
         for _ in range(150):
             n = rng.randint(2, 5)
-            f = _random_involution_matrix(rng, n)
+            f = random_involution_matrix(rng, n)
             pm = inv.plus_minus(f)
             s = inv.defect(f)
             form = inv.canonicalize_involution(f)
@@ -155,8 +155,8 @@ class TestCommutingDecomposition:
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randint(2, 4)
-            f = _random_involution_matrix(rng, n, diagonalizable=True)
-            g = _random_involution_matrix(rng, n, diagonalizable=True)
+            f = random_involution_matrix(rng, n, diagonalizable=True)
+            g = random_involution_matrix(rng, n, diagonalizable=True)
             bases = inv.commuting_decomposition(f, g)
             assert inv.is_direct_sum(bases, n) == (f * g == g * f)
 
@@ -186,7 +186,7 @@ class TestSqrt:
         done = 0
         while done < 40:
             n = rng.randint(2, 5)
-            f = _random_involution_matrix(rng, n, diagonalizable=True)
+            f = random_involution_matrix(rng, n, diagonalizable=True)
             if len(inv.plus_minus(f).minus) % 2:
                 continue
             h = inv.sqrt_of_involution(f)
@@ -252,7 +252,7 @@ class TestThreeConjugatesProbe:
         rng = random.Random(5)
         for _ in range(5):
             n = rng.randint(2, 4)
-            theta = _random_symmetry_mod_ia(rng, n)
+            theta = random_symmetry_mod_ia(rng, n)
             result = inv.three_conjugates_probe(theta, trials=5, seed=rng.randrange(2**30))
             assert not result.found()
 

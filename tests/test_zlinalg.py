@@ -3,8 +3,10 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freenil2.errors import DecompositionNotFound, NotASummand, NotUnimodular, ZeroVector
+from freenil2.errors import NotASummand, NotUnimodular, ZeroVector
 from freenil2.zlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -188,44 +190,53 @@ class TestUnimodular:
 
 
 class TestDecompose:
-    def check(self, vec, parts, max_parts):
-        assert 1 <= len(parts) <= max_parts
+    def check(self, vec, parts):
+        assert 1 <= len(parts) <= 2
         assert tuple(sum(p[i] for p in parts) for i in range(len(vec))) == tuple(vec)
         for p in parts:
             assert is_unimodular_vector(p)
 
     def test_examples(self):
-        self.check((2, 0), decompose_into_unimodular((2, 0), 2), 2)
-        self.check((0, 0), decompose_into_unimodular((0, 0), 2), 2)
-        self.check((4, 6), decompose_into_unimodular((4, 6), 2), 2)
+        for vec in [(2, 0), (0, 0), (4, 6)]:
+            self.check(vec, decompose_into_unimodular(vec))
 
     def test_unimodular_input_returns_itself(self):
-        assert decompose_into_unimodular((3, 5), 2) == [(3, 5)]
+        assert decompose_into_unimodular((3, 5)) == [(3, 5)]
 
     def test_three_parts_allowed(self):
-        parts = decompose_into_unimodular((6, 10), 3)
-        self.check((6, 10), parts, 3)
+        # a search over small shells needed three parts here; two always suffice
+        parts = decompose_into_unimodular((6, 10))
+        self.check((6, 10), parts)
+        assert len(parts) == 2
+
+    def test_bounded_search_reports_failure(self):
+        # CRT-built so that v - u has a prime factor for every unimodular u
+        # of max-norm 1, while gcd(v) = 23: a search of radius 1 found nothing
+        vec = (99898085, 124043646)
+        parts = decompose_into_unimodular(vec)
+        self.check(vec, parts)
+        assert len(parts) == 2
 
     def test_random(self):
         rng = random.Random(5)
         for _ in range(60):
             n = rng.randint(2, 4)
             vec = tuple(rng.randint(-6, 6) for _ in range(n))
-            self.check(vec, decompose_into_unimodular(vec, 2), 2)
+            self.check(vec, decompose_into_unimodular(vec))
 
-    def test_bounded_search_reports_failure(self):
-        # CRT-built so that v - u has a prime factor for every unimodular u
-        # of max-norm 1, while gcd(v) = 23; radius 1 must therefore exhaust
-        vec = (99898085, 124043646)
-        with pytest.raises(DecompositionNotFound):
-            decompose_into_unimodular(vec, 2, radius=1)
-        parts = decompose_into_unimodular(vec, 2, radius=3)
-        self.check(vec, parts, 2)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 8).flatmap(
+        lambda n: st.tuples(*[st.integers(-10**30, 10**30)] * n)), st.integers(1, 10**6))
+    def test_closed_form_property(self, base, scale):
+        # scaling makes most inputs non-unimodular, which random entries rarely are
+        vec = tuple(scale * x for x in base)
+        parts = decompose_into_unimodular(vec)
+        if gcd(*vec) == 1:
+            assert parts == [vec]
+        else:
+            self.check(vec, parts)
+            assert len(parts) == 2
 
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
-            decompose_into_unimodular((5,), 2)
-
-    def test_bad_max_parts(self):
-        with pytest.raises(ValueError):
-            decompose_into_unimodular((2, 0), 4)
+            decompose_into_unimodular((5,))
