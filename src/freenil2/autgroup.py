@@ -8,13 +8,18 @@ images defines an automorphism exactly when the abelianized matrix (column i
 The kernel of the abelianization map is the IA subgroup: IA automorphisms fix
 the commutator subgroup pointwise and are determined by the central offsets
 of their generator images, which makes the subgroup abelian and torsion-free
-and gives the exact inversion and witness-solving routines below.
+and gives the witness-solving routine below.
+
+Application and composition are closed forms in the abelianization M, the
+central parts of the images and Lambda^2 M, the action of M on the
+commutator subgroup (the class-two case of the Hall polynomials).
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from operator import mul
 
 from .errors import (
     IndexOutOfRank,
@@ -54,6 +59,16 @@ class Automorphism:
             raise InvalidAutomorphism(f"abelianized determinant {matrix.det()} is not +-1")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "images", images)
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Automorphism":
+        """Unchecked construction, for the results of compose: a tuple of
+        images of one rank whose abelianization is unimodular by
+        construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", len(images))
+        object.__setattr__(self, "images", images)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Automorphism is immutable")
@@ -100,9 +115,31 @@ def apply(sigma: Automorphism, g: Element) -> Element:
     if sigma.rank != g.rank:
         raise RankMismatch(f"ranks {sigma.rank} and {g.rank} differ")
     pairs = _zero_based_pairs(g.rank)
-    abelian = [0] * g.rank
+    abelian, comm = _power_product(sigma.images, g.abelian)
+    # g's commutator part, through only the columns of Lambda^2 M it uses:
+    # one call does not repay building all of it, as compose does
+    for (p, q), e in zip(pairs, g.comm):
+        if not e:
+            continue
+        a, b = sigma.images[p].abelian, sigma.images[q].abelian
+        for k, (i, j) in enumerate(pairs):
+            comm[k] += e * (a[i] * b[j] - a[j] * b[i])
+    return Element.trusted(g.rank, tuple(abelian), tuple(comm))
+
+
+@lru_cache(maxsize=None)
+def _zero_based_pairs(rank: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i - 1, j - 1) for i, j in pair_list(rank))
+
+
+def _power_product(images, exponents) -> tuple[list[int], list[int]]:
+    """Abelian and commutator parts of the ordered product of images[k] **
+    exponents[k], summed directly: each power (a, c)^e and its cross term
+    with the running product."""
+    pairs = _zero_based_pairs(len(images))
+    abelian = [0] * len(images)
     comm = [0] * len(pairs)
-    for img, e in zip(sigma.images, g.abelian):
+    for img, e in zip(images, exponents):
         if not e:
             continue
         a, c = img.abelian, img.comm
@@ -111,25 +148,43 @@ def apply(sigma: Automorphism, g: Element) -> Element:
             comm[k] += e * c[k] - (half * a[j] + e * abelian[j]) * a[i]
         for i, x in enumerate(a):
             abelian[i] += e * x
-    for (p, q), e in zip(pairs, g.comm):
-        if not e:
-            continue
-        a, b = sigma.images[p].abelian, sigma.images[q].abelian
-        for k, (i, j) in enumerate(pairs):
-            comm[k] += e * (a[i] * b[j] - a[j] * b[i])
-    return Element(g.rank, abelian, comm)
+    return abelian, comm
 
 
-@lru_cache(maxsize=None)
-def _zero_based_pairs(rank: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i - 1, j - 1) for i, j in pair_list(rank))
+def _lambda2(columns) -> list[list[int]]:
+    """Lambda^2 M from the columns of M, one column per commutator pair:
+    column (p, q) is M e_p ^ M e_q, the image of [x_p, x_q] under every
+    automorphism abelianizing to M.  Given the rows of M it returns the rows
+    of Lambda^2 M instead, since Lambda^2 commutes with transposition."""
+    pairs = _zero_based_pairs(len(columns))
+    out = []
+    for p, q in pairs:
+        u, v = columns[p], columns[q]
+        out.append([u[i] * v[j] - u[j] * v[i] for i, j in pairs])
+    return out
 
 
 def compose(sigma: Automorphism, rho: Automorphism) -> Automorphism:
-    """sigma o rho (rho applied first); abelianizes to the matrix product."""
+    """sigma o rho (rho applied first); abelianizes to the matrix product.
+
+    Image k is sigma applied to rho's image (a, c) as in ``apply``: the
+    ordered power product of sigma's images over a, plus Lambda^2 M_sigma c.
+    Lambda^2 M_sigma is built once for all n images.  The result is
+    unimodular by construction, since det(M_sigma M_rho) = +-1, so it is
+    not validated again.
+    """
     if sigma.rank != rho.rank:
         raise RankMismatch(f"ranks {sigma.rank} and {rho.rank} differ")
-    return Automorphism([apply(sigma, img) for img in rho.images])
+    images = sigma.images
+    # rows, so that each image's term is one dot product per pair
+    wedge_rows = _lambda2(list(zip(*(img.abelian for img in images))))
+    out = []
+    for img in rho.images:
+        abelian, comm = _power_product(images, img.abelian)
+        if any(img.comm):
+            comm = [x + sum(map(mul, row, img.comm)) for x, row in zip(comm, wedge_rows)]
+        out.append(Element.trusted(sigma.rank, tuple(abelian), tuple(comm)))
+    return Automorphism._trusted(tuple(out))
 
 
 def abelianize(sigma: Automorphism) -> IntMatrix:
@@ -164,21 +219,18 @@ def ia_from_offsets(rank: int, offsets) -> Automorphism:
     )
 
 
-def _invert_ia(sigma: Automorphism) -> Automorphism:
-    # IA automorphisms fix the centre pointwise, so inversion just negates
-    # each image's central offset.
-    return ia_from_offsets(sigma.rank, [tuple(-c for c in off) for off in ia_offsets(sigma)])
-
-
 def invert(sigma: Automorphism) -> Automorphism:
     """Exact inverse.
 
     Route through the abelianization: lift the inverse matrix, observe that
-    the mismatch sigma o lift is IA, and correct by the (cheap) IA inverse.
+    the mismatch sigma o lift is IA, and correct by its inverse, which
+    negates each central offset (IA automorphisms fix the centre
+    pointwise).  Both composes are closed forms, and only the lift and the
+    IA correction are validated.
     """
     rho0 = lift(inverse_unimodular(abelianize(sigma)))
-    beta = compose(sigma, rho0)
-    return compose(rho0, _invert_ia(beta))
+    offsets = [tuple(-c for c in off) for off in ia_offsets(compose(sigma, rho0))]
+    return compose(rho0, ia_from_offsets(sigma.rank, offsets))
 
 
 def conjugation(a: Element) -> Automorphism:

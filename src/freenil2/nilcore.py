@@ -16,11 +16,18 @@ each other.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import IndexOutOfRank, RankMismatch, ZeroVector
+
+
+# Largest rank accepted from text and documents.  An element stores
+# rank*(rank-1)/2 commutator exponents and compose builds a square matrix of
+# that size, so a rank from input is bounded before anything is sized by it.
+MAX_RANK = 32
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +82,20 @@ class Element:
         object.__setattr__(self, "abelian", abelian)
         object.__setattr__(self, "comm", comm)
 
+    @classmethod
+    def trusted(cls, rank: int, abelian: tuple, comm: tuple) -> "Element":
+        """Construction without validation, for results that already hold
+        tuples of ints of lengths rank and pair_count(rank): products,
+        inverses and the outputs of the automorphism kernel.  Nothing is
+        checked or converted, so never pass it user input: a list, a float
+        or a wrong length gives an Element that breaks equality and
+        hashing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "abelian", abelian)
+        object.__setattr__(self, "comm", comm)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
 
@@ -127,7 +148,7 @@ class Element:
                 if bi:
                     comm[k] -= a[j] * bi
                 k += 1
-        return Element(self.rank, abelian, comm)
+        return Element.trusted(self.rank, abelian, tuple(comm))
 
     def inverse(self) -> "Element":
         a = self.abelian
@@ -139,20 +160,17 @@ class Element:
                 if ai:
                     comm[k] -= ai * a[j]
                 k += 1
-        return Element(self.rank, tuple(-x for x in a), comm)
+        return Element.trusted(self.rank, tuple(-x for x in a), tuple(comm))
 
     def __pow__(self, exponent: int) -> "Element":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Element.identity(self.rank)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        """(a, c)^e = (e*a, e*c + C(e, 2) * b(a, a)) for every integer e,
+        where b(a, a)[i, j] = -a_i * a_j is the cross term of a product."""
+        e = operator.index(exponent)
+        a = self.abelian
+        half = e * (e - 1) // 2
+        comm = [e * c - half * a[i - 1] * a[j - 1]
+                for c, (i, j) in zip(self.comm, pair_list(self.rank))]
+        return Element(self.rank, [e * x for x in a], comm)
 
     def conjugate_by(self, other: "Element") -> "Element":
         return other * self * other.inverse()

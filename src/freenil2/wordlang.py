@@ -12,7 +12,8 @@ antisymmetry.  The parsed element is the normal form of the denoted product,
 terms multiplied left to right.
 
 Automorphism documents are JSON objects {"rank": n, "images": [...]} with one
-element string per generator.
+element string per generator.  Ranks, given here or to ``parse_element``,
+must lie in 2..``nilcore.MAX_RANK``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .errors import IndexOutOfRank, ParseError
-from .nilcore import Element, commutator, pair_list
+from .nilcore import MAX_RANK, Element, commutator, pair_list
 
 
 class _Scanner:
@@ -102,8 +103,8 @@ def _parse_term(scanner: _Scanner, rank: int) -> Element:
 
 def parse_element(text: str, rank: int) -> Element:
     """Parse element text into its normal form."""
-    if rank < 2:
-        raise ValueError("rank must be >= 2")
+    if not 2 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be between 2 and {MAX_RANK}")
     scanner = _Scanner(text)
     if scanner.peek() == "1":
         scanner.pos += 1
@@ -158,8 +159,8 @@ def parse_automorphism(document):
         raise ParseError("automorphism document needs 'rank' and 'images'")
     rank = document["rank"]
     images = document["images"]
-    if not isinstance(rank, int) or rank < 2:
-        raise ParseError("'rank' must be an integer >= 2")
+    if not isinstance(rank, int) or not 2 <= rank <= MAX_RANK:
+        raise ParseError(f"'rank' must be an integer between 2 and {MAX_RANK}")
     if (not isinstance(images, list) or len(images) != rank
             or not all(isinstance(text, str) for text in images)):
         raise ParseError(f"'images' must list exactly {rank} element strings")

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,58 @@ from freenil2.nilcore import Element, commutator, pair_list
 from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
 from freenil2.verify import _brute_force_witness
 from freenil2.wordlang import parse_element
-from freenil2.zlinalg import IntMatrix
+from freenil2.zlinalg import IntMatrix, inverse_unimodular
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def elem(text, rank):
     return parse_element(text, rank)
+
+
+def apply_by_substitution(sigma, g):
+    """Oracle for ``apply``: multiply the image powers out in order, then the
+    images of g's basis commutators."""
+    n = g.rank
+    out = Element.identity(n)
+    for img, e in zip(sigma.images, g.abelian):
+        out = out * img ** e
+    for (i, j), e in zip(pair_list(n), g.comm):
+        out = out * commutator(sigma.image(i), sigma.image(j)) ** e
+    return out
+
+
+def invert_closed_form(sigma):
+    """Oracle for ``invert``: with m_i = M^-1 e_i, sigma(m_i, 0) = (e_i, u_i),
+    so sigma^-1(x_i) = (m_i, -Lambda^2(M^-1) u_i).  Column (p, q) of
+    Lambda^2 N is N e_p ^ N e_q."""
+    n = sigma.rank
+    inverse = inverse_unimodular(ag.abelianize(sigma))
+    cols = inverse.columns()
+    pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
+    wedge = [[cols[p][i] * cols[q][j] - cols[p][j] * cols[q][i] for p, q in pairs]
+             for i, j in pairs]
+    images = []
+    for m in cols:
+        u = ag.apply(sigma, Element(n, m)).comm
+        images.append(Element(n, m, [-sum(x * y for x, y in zip(row, u)) for row in wedge]))
+    return Automorphism(images)
+
+
+def big_automorphism(rng, n, bound=10**6):
+    """Random automorphism with abelian entries and central parts up to
+    about bound."""
+    shear = [[int(i == j) for j in range(n)] for i in range(n)]
+    i, j = rng.sample(range(n), 2)
+    shear[i][j] = rng.randint(-bound, bound)
+    matrix = random_unimodular(rng, n) * IntMatrix(shear)
+    return ag.compose(ag.lift(matrix), random_ia(rng, n, bound=bound))
+
+
+def plain_ints(g):
+    return (type(g.abelian) is tuple and type(g.comm) is tuple
+            and all(type(x) is int for x in g.abelian + g.comm))
 
 
 class TestConstruction:
@@ -79,12 +128,7 @@ class TestApply:
             sigma = ag.compose(random_automorphism(rng, n), random_ia(rng, n, bound=9))
             g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],
                         [rng.randint(-99, 99) for _ in range(n * (n - 1) // 2)])
-            expected = Element.identity(n)
-            for img, e in zip(sigma.images, g.abelian):
-                expected = expected * img ** e
-            for (i, j), e in zip(pair_list(n), g.comm):
-                expected = expected * commutator(sigma.image(i), sigma.image(j)) ** e
-            assert ag.apply(sigma, g) == expected
+            assert ag.apply(sigma, g) == apply_by_substitution(sigma, g)
 
 
 class TestComposeInvert:
@@ -116,6 +160,78 @@ class TestComposeInvert:
             assert ag.abelianize(ag.compose(sigma, rho)) == (
                 ag.abelianize(sigma) * ag.abelianize(rho)
             )
+
+
+class TestClosedFormKernel:
+    """compose and invert against their oracles, at ranks 2-6 with entries
+    up to 10^6."""
+
+    def cases(self, seed, count=60):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(2, 6)
+            yield rng, n, big_automorphism(rng, n)
+
+    def test_invert_matches_closed_form_oracle(self):
+        for _, _, sigma in self.cases(20):
+            assert ag.invert(sigma) == invert_closed_form(sigma)
+
+    def test_compose_matches_substitution(self):
+        for rng, n, sigma in self.cases(21):
+            rho = big_automorphism(rng, n)
+            product = ag.compose(sigma, rho)
+            assert product.images == tuple(apply_by_substitution(sigma, img)
+                                           for img in rho.images)
+
+    def test_compose_with_inverse_is_identity(self):
+        for _, n, sigma in self.cases(22):
+            inverse = ag.invert(sigma)
+            assert ag.compose(sigma, inverse) == Automorphism.identity(n)
+            assert ag.compose(inverse, sigma) == Automorphism.identity(n)
+
+    def test_unchecked_results_match_checked_construction(self):
+        # equality and hashing compare tuples, so unchecked results must hold
+        # exactly what the checked constructors would have stored
+        for rng, n, sigma in self.cases(23, count=30):
+            g = Element(n, [rng.randint(-9, 9) for _ in range(n)],
+                        [rng.randint(-9, 9) for _ in range(n * (n - 1) // 2)])
+            for out in (ag.compose(sigma, big_automorphism(rng, n)), ag.invert(sigma)):
+                checked = Automorphism(list(out.images))
+                assert checked == out and hash(checked) == hash(out)
+                assert out.rank == n and all(plain_ints(img) for img in out.images)
+            for out in (ag.apply(sigma, g), g * g, g.inverse()):
+                checked = Element(n, out.abelian, out.comm)
+                assert checked == out and hash(checked) == hash(out) and plain_ints(out)
+
+
+class TestKernelCorpus:
+    """Replays inputs and outputs recorded before compose became a closed
+    form (written by tests/make_kernel_corpus.py)."""
+
+    corpus = json.loads((DATA / "kernel_corpus_r2_6_s4.json").read_text())
+
+    @staticmethod
+    def element(data):
+        abelian, comm = data
+        return Element(len(abelian), abelian, comm)
+
+    def automorphism(self, data):
+        return Automorphism([self.element(img) for img in data])
+
+    def test_apply(self):
+        for case in self.corpus["apply"]:
+            sigma, g = self.automorphism(case["sigma"]), self.element(case["g"])
+            assert ag.apply(sigma, g) == self.element(case["out"])
+
+    def test_compose(self):
+        for case in self.corpus["compose"]:
+            sigma, rho = self.automorphism(case["sigma"]), self.automorphism(case["rho"])
+            assert ag.compose(sigma, rho) == self.automorphism(case["out"])
+
+    def test_invert(self):
+        for case in self.corpus["invert"]:
+            sigma = self.automorphism(case["sigma"])
+            assert ag.invert(sigma) == self.automorphism(case["out"])
 
 
 class TestAbelianizeLift:

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freenil2 import verify, wordlang
 from freenil2.cli import main
+from freenil2.nilcore import MAX_RANK
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +167,11 @@ class TestVerifyCommand:
                            "--trials", "1", "--seed", "5", "--json")
         assert first == second
 
+    def test_rank_8_smoke(self, capsys):
+        code, out, _ = run(capsys, "verify", "--rank-min", "8", "--rank-max", "8",
+                           "--trials", "1")
+        assert code == 0 and "result: PASS" in out
+
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run(capsys, "verify", "--rank-min", "9", "--rank-max", "9")
         assert code == 2
@@ -182,6 +190,42 @@ class TestVerifyCommand:
         for check in doc["checks"]:
             assert set(check) == {"name", "status", "trials", "counterexample"}
             assert check["status"] in {"pass", "fail", "skipped"}
+
+
+class TestRankCap:
+    HUGE = str(10**9)
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--rank", HUGE, "x1"),
+        ("mul", "--rank", HUGE, "x1", "x2"),
+        ("inv", "--rank", HUGE, "x1"),
+        ("comm", "--rank", HUGE, "x1", "x2"),
+        ("verify", "--rank-max", HUGE, "--json"),
+    ])
+    def test_huge_rank_exits_2_without_allocating(self, capsys, monkeypatch, argv):
+        # were the cap ever skipped, fail at once rather than build rank-sized data
+        monkeypatch.setattr(wordlang, "Element", None)
+        monkeypatch.setattr(verify, "CHECKS", {})
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "rank" in err
+        assert peak < 1 << 20
+
+    def test_cap_is_inclusive(self, capsys):
+        code, out, _ = run(capsys, "eval", "--rank", str(MAX_RANK), f"x{MAX_RANK}")
+        assert code == 0 and out.strip() == f"x{MAX_RANK}"
+        code, _, err = run(capsys, "eval", "--rank", str(MAX_RANK + 1), "x1")
+        assert code == 2 and str(MAX_RANK) in err
+
+    def test_document_rank_over_cap(self, capsys):
+        n = MAX_RANK + 1
+        doc = json.dumps({"rank": n, "images": [f"x{i}" for i in range(1, n + 1)]})
+        code, _, err = run(capsys, "classify", doc)
+        assert code == 2 and "'rank'" in err
 
 
 def test_usage_without_command_exits_2(capsys):

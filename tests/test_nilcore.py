@@ -95,6 +95,44 @@ class TestMul:
             assert g ** e == expected
 
 
+def power_by_squaring(g, e):
+    """Oracle for ``**``: square-and-multiply over the closed-form product."""
+    if e < 0:
+        g, e = g.inverse(), -e
+    out = Element.identity(g.rank)
+    while e:
+        if e & 1:
+            out = out * g
+        g = g * g
+        e >>= 1
+    return out
+
+
+class TestPow:
+    def test_matches_word_oracles(self):
+        # g = w, so g^e is the word w repeated e times (w^-1 repeated for e < 0)
+        rng = random.Random(1)
+        for rank in (2, 3, 4):
+            letters = [(rng.randint(1, rank), rng.choice((1, -1))) for _ in range(3)]
+            inverse = [(i, -s) for i, s in reversed(letters)]
+            g = reduce_word(GeneratorWord(rank, letters))
+            for e in range(-50, 51):
+                word = GeneratorWord(rank, (letters if e >= 0 else inverse) * abs(e))
+                assert g ** e == mul_fold(word)
+                if e % 5 == 0:
+                    assert g ** e == reduce_word(word)
+
+    def test_large_exponent(self):
+        g = Element(4, (3, -7, 0, 12), (5, -1, 2, 0, 9, -4))
+        for e in (10**12 + 7, -(10**12 + 7), 2**61 - 1):
+            assert g ** e == power_by_squaring(g, e)
+        assert g ** (10**12) * g ** (-(10**12)) == Element.identity(4)
+
+    def test_rejects_non_integer_exponent(self):
+        with pytest.raises(TypeError):
+            Element.generator(2, 1) ** 2.5
+
+
 class TestInverse:
     def test_examples(self):
         assert Element.identity(3).inverse().is_identity()
