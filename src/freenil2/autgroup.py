@@ -297,14 +297,15 @@ def classify_involution(sigma: Automorphism) -> InvolutionKind:
     automatically an involution); extremal-mod-IA means the induced matrix is
     an integrally diagonalizable involution negating a rank-1 summand.
     """
-    from .involutions import is_diagonalizable, plus_minus
+    from .involutions import plus_minus
 
     if not compose(sigma, sigma).is_identity():
         return InvolutionKind.NOT_INVOLUTION
     matrix = abelianize(sigma)
     if matrix == -IntMatrix.identity(sigma.rank):
         return InvolutionKind.SYMMETRY_MOD_IA
-    if is_diagonalizable(matrix) and len(plus_minus(matrix).minus) == 1:
+    pm = plus_minus(matrix)
+    if pm.defect == 0 and len(pm.minus) == 1:
         return InvolutionKind.EXTREMAL_MOD_IA
     return InvolutionKind.OTHER_INVOLUTION
 

@@ -26,6 +26,7 @@ from .zlinalg import (
     IntMatrix,
     LatticeBasis,
     direct_complement,
+    kernel_rows,
     kernel_summand_basis,
     mul_rows,
     smith_rows,
@@ -51,10 +52,12 @@ Y_CONJUGATE_TRIPLE = (
 
 @dataclass(frozen=True)
 class PlusMinusPair:
-    """Saturated bases of the fixed (+) and negated (-) sublattices."""
+    """Saturated bases of the fixed (+) and negated (-) sublattices, and the
+    defect s: their direct sum has index 2^s in Z^n."""
 
     plus: LatticeBasis
     minus: LatticeBasis
+    defect: int
 
 
 @dataclass(frozen=True)
@@ -100,26 +103,24 @@ def _require_involution(f: IntMatrix) -> None:
 
 
 def plus_minus(f: IntMatrix) -> PlusMinusPair:
-    """Fixed and negated sublattices; their ranks always sum to n."""
+    """Fixed and negated sublattices and the defect; the ranks always sum to n."""
     _require_involution(f)
     identity = IntMatrix.identity(f.n)
-    return PlusMinusPair(
-        plus=kernel_summand_basis(f - identity),
-        minus=kernel_summand_basis(f + identity),
-    )
-
-
-def defect(f: IntMatrix) -> int:
-    """log2 of the index of A+ (+) A- in Z^n; 0 iff diagonalizable over Z."""
-    pm = plus_minus(f)
-    vectors = list(pm.plus.vectors) + list(pm.minus.vectors)
+    plus = kernel_summand_basis(f - identity)
+    minus = kernel_summand_basis(f + identity)
+    vectors = plus.vectors + minus.vectors
     if len(vectors) != f.n:
         raise NotInvolution("eigenlattice ranks do not sum to the rank")
     d = abs(IntMatrix.from_columns(vectors).det())
     s = d.bit_length() - 1
     if d != 1 << s:
         raise CanonicalizationPostconditionFailed(f"eigenlattice index {d} is not a power of 2")
-    return s
+    return PlusMinusPair(plus, minus, s)
+
+
+def defect(f: IntMatrix) -> int:
+    """log2 of the index of A+ (+) A- in Z^n; 0 iff diagonalizable over Z."""
+    return plus_minus(f).defect
 
 
 def is_diagonalizable(f: IntMatrix) -> bool:
@@ -129,7 +130,7 @@ def is_diagonalizable(f: IntMatrix) -> bool:
 def min_plus_minus_rank(f: IntMatrix) -> int:
     """min(rank A+, rank A-) of a diagonalizable involution."""
     pm = plus_minus(f)
-    if defect(f) != 0:
+    if pm.defect != 0:
         raise NotDiagonalizable("involution has nonzero defect")
     return min(len(pm.plus), len(pm.minus))
 
@@ -222,7 +223,7 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
             pairs.append((s_tuple, fs))
             pair_s_vectors.append(s_tuple)
             pair_u_coords.append(to_p_coords(u_vec))
-            span = LatticeBasis(p0, [tuple(c) for c in pair_u_coords], summand=True)
+            span = LatticeBasis(p0, [tuple(c) for c in pair_u_coords])
             free_coords = [list(v) for v in direct_complement(span).vectors]
 
     fixed_vectors = [from_p_coords(v) for v in free_coords]
@@ -247,25 +248,13 @@ def commuting_decomposition(f: IntMatrix, g: IntMatrix):
     basis of Z^n (combined determinant +-1) exactly when f and g commute.
     """
     for m in (f, g):
-        _require_involution(m)
-        if defect(m) != 0:
+        if plus_minus(m).defect != 0:
             raise NotDiagonalizable("both involutions must be diagonalizable")
-    n = f.n
-    identity = IntMatrix.identity(n)
-    out = []
-    for sf in (-1, 1):
-        for sg in (-1, 1):
-            # kernel of the stacked matrix [f + sf*I; g + sg*I]
-            top = (f + identity if sf == 1 else f - identity).to_lists()
-            bottom = (g + identity if sg == 1 else g - identity).to_lists()
-            _, d, v = smith_rows(top + bottom)
-            vectors = [
-                tuple(v[i][j] for i in range(n)) for j in range(n) if d[j][j] == 0
-            ]
-            out.append(LatticeBasis(n, vectors, summand=True))
-    # order: ++, +-, -+, -- (sf == -1 selects ker(f - I) = A+)
-    plus_plus, plus_minus_, minus_plus, minus_minus = out
-    return plus_plus, plus_minus_, minus_plus, minus_minus
+    identity = IntMatrix.identity(f.n)
+    # kernels of the stacked matrices [f -+ I; g -+ I] in the order
+    # ++, +-, -+, -- (f - I selects A+)
+    halves = [((m - identity).to_lists(), (m + identity).to_lists()) for m in (f, g)]
+    return tuple(kernel_rows(top + bottom) for top in halves[0] for bottom in halves[1])
 
 
 def is_direct_sum(bases, n: int) -> bool:
@@ -283,7 +272,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
     negated basis vectors, conjugated back to the standard basis.
     """
     pm = plus_minus(f)
-    if defect(f) != 0:
+    if pm.defect != 0:
         raise NotDiagonalizable("involution has nonzero defect")
     m = len(pm.minus)
     if m % 2 != 0:

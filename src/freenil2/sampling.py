@@ -67,40 +67,36 @@ def random_inverted_member_with_offset(rng: random.Random, rank: int, i: int,
 
 def random_unimodular_word(rng: random.Random, n: int, length: int) -> tuple[IntMatrix, IntMatrix]:
     """Product of random elementary/permutation/sign generators and its
-    inverse, built together so no inversion is ever needed."""
-    m = IntMatrix.identity(n)
-    m_inv = IntMatrix.identity(n)
+    inverse, built together so no inversion is ever needed.
+
+    Multiplying the product by a generator on the right is a column
+    operation, and its inverse on the left of the inverse a row operation.
+    Below rank 2 every letter is a sign flip.
+    """
+    m = IntMatrix.identity(n).to_lists()
+    m_inv = IntMatrix.identity(n).to_lists()
     for _ in range(length):
         kind = rng.randrange(3)
-        if kind == 0 and n >= 2:  # transvection: column j += e * column i
+        if kind < 2 and n >= 2:
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            e = rng.choice((1, -1))
-            gen = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            gen[i][j] = e
-            inv = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            inv[i][j] = -e
-        elif kind == 1:  # swap two basis vectors
-            i = rng.randrange(n)
-            j = rng.randrange(n - 1)
-            if j >= i:
-                j += 1
-            gen = [[0] * n for _ in range(n)]
-            for a in range(n):
-                gen[a][a] = 1
-            gen[i][i] = gen[j][j] = 0
-            gen[i][j] = gen[j][i] = 1
-            inv = [row[:] for row in gen]
+            if kind == 0:  # transvection: column j += e * column i
+                e = rng.choice((1, -1))
+                for row in m:
+                    row[j] += e * row[i]
+                m_inv[i] = [x - e * y for x, y in zip(m_inv[i], m_inv[j])]
+            else:  # swap two basis vectors
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+                m_inv[i], m_inv[j] = m_inv[j], m_inv[i]
         else:  # sign flip
             i = rng.randrange(n)
-            gen = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            gen[i][i] = -1
-            inv = [row[:] for row in gen]
-        m = m * IntMatrix(gen)
-        m_inv = IntMatrix(inv) * m_inv
-    return m, m_inv
+            for row in m:
+                row[i] = -row[i]
+            m_inv[i] = [-x for x in m_inv[i]]
+    return IntMatrix(m), IntMatrix(m_inv)
 
 
 def random_unimodular(rng: random.Random, n: int, length: int = 5) -> IntMatrix:

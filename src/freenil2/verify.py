@@ -261,7 +261,7 @@ def check_canonical_involution_form(rank: int, trials: int, seed: int) -> CheckR
         pm = involutions.plus_minus(f)
         if len(pm.plus) + len(pm.minus) != rank:
             return _fail(name, t, matrix=f.to_lists(), law="rank_sum")
-        s = involutions.defect(f)
+        s = pm.defect
         form = involutions.canonicalize_involution(f)  # validates internally
         expected = (len(pm.plus) - s, len(pm.minus) - s, s)
         if form.block_type() != expected:
@@ -388,7 +388,7 @@ def check_conjugations_of_primitive_powers(rank: int, trials: int, seed: int) ->
         if witness is None or witness.abelian != tuple(m * a for a in x.abelian):
             return _fail(name, t, x=format_element(x), power=m, law="witness")
         # an extremal involution inverting x conjugates tau to its inverse
-        complement = direct_complement(LatticeBasis(rank, [x.abelian], summand=True))
+        complement = direct_complement(LatticeBasis(rank, [x.abelian]))
         basis = IntMatrix.from_columns([x.abelian] + list(complement.vectors))
         rho = autgroup.lift(basis)
         phi = autgroup.compose(

@@ -2,8 +2,9 @@
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 rounds or wraps.  One normal-form engine (the Smith decomposition) drives the
-lattice operations: saturated kernels, direct complements, summand tests and
-unimodular inverses are all read off from it.
+lattice operations: the independence and summand tests of a ``LatticeBasis``,
+saturated kernels, direct complements and unimodular inverses are all read
+off from it.  Determinants use fraction-free (Bareiss) elimination.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
 standard basis vector.
@@ -76,32 +77,6 @@ def _det_rows(rows: list[list[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def _rational_rank(rows: list[list[int]]) -> int:
-    """Rank over Q, via integer row elimination (rows may be rectangular)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    if m == 0:
-        return 0
-    n = len(a[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        x = a[rank][col]
-        for i in range(rank + 1, m):
-            y = a[i][col]
-            if y != 0:
-                g = gcd(x, y)
-                cx, cy = x // g, y // g
-                a[i] = [cx * u - cy * v for u, v in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
 
 
 def smith_rows(rows: list[list[int]]):
@@ -315,33 +290,32 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A list of independent integer vectors in Z^rank.
+    """A basis of a direct summand (a saturated subgroup) of Z^rank.
 
-    When ``summand`` is set the spanned subgroup is required to be a direct
-    summand of Z^rank (saturated); this is validated at construction time.
+    Validated at construction by one Smith decomposition of the vectors taken
+    as columns: a zero divisor means they are dependent (``ValueError``), and
+    any other divisor than 1 means their span is not a summand
+    (``NotASummand``).
     """
 
     rank: int
     vectors: tuple[tuple[int, ...], ...]
-    summand: bool = False
 
-    def __init__(self, rank: int, vectors, summand: bool = False):
+    def __init__(self, rank: int, vectors):
         vectors = tuple(tuple(int(x) for x in v) for v in vectors)
         if any(len(v) != rank for v in vectors):
             raise ValueError("vector length does not match ambient rank")
         if len(vectors) > rank:
             raise ValueError("more vectors than the ambient rank")
-        if vectors and _rational_rank([list(v) for v in vectors]) != len(vectors):
-            raise ValueError("vectors are not linearly independent")
-        if summand and vectors:
-            cols = [[v[i] for v in vectors] for i in range(rank)]
-            _, d, _ = smith_rows(cols)
+        if vectors:
+            _, d, _ = smith_rows([[v[i] for v in vectors] for i in range(rank)])
             divisors = [d[i][i] for i in range(len(vectors))]
+            if 0 in divisors:
+                raise ValueError("vectors are not linearly independent")
             if any(di != 1 for di in divisors):
                 raise NotASummand(f"elementary divisors {divisors} are not all 1")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "summand", summand)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -357,15 +331,23 @@ def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(u), IntMatrix(d), IntMatrix(v)
 
 
+def kernel_rows(rows: list[list[int]]) -> LatticeBasis:
+    """Basis of the kernel of an m x n row list with m >= n, read off its
+    Smith decomposition: the columns of V over zero divisors.
+
+    The kernel is automatically a saturated direct summand of Z^n.
+    """
+    _, d, v = smith_rows(rows)
+    n = len(v)
+    return LatticeBasis(n, [tuple(row[j] for row in v) for j in range(n) if d[j][j] == 0])
+
+
 def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
     """Basis of ker(M), which is automatically a saturated direct summand.
 
     Empty when the kernel is trivial; the full standard basis for M = 0.
     """
-    _, d, v = smith_rows(m.to_lists())
-    n = m.n
-    vectors = [tuple(v[i][j] for i in range(n)) for j in range(n) if d[j][j] == 0]
-    return LatticeBasis(n, vectors, summand=True)
+    return kernel_rows(m.to_lists())
 
 
 def direct_complement(basis: LatticeBasis) -> LatticeBasis:
@@ -374,21 +356,17 @@ def direct_complement(basis: LatticeBasis) -> LatticeBasis:
     The returned complement is *some* valid complement; callers must not rely
     on a canonical choice.
     """
-    if not basis.summand:
-        raise NotASummand("input basis is not flagged as a summand")
     n = basis.rank
     k = len(basis.vectors)
     if k == 0:
-        return LatticeBasis(n, [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)], summand=True)
+        return LatticeBasis(n, [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
     if k == n:
-        return LatticeBasis(n, [], summand=True)
-    cols = [[v[i] for v in basis.vectors] for i in range(n)]
-    u, d, _ = smith_rows(cols)
-    if any(d[i][i] != 1 for i in range(k)):
-        raise NotASummand("basis does not span a direct summand")
+        return LatticeBasis(n, [])
+    # basis is a summand, so U A V = [I; 0] and the last n - k columns of
+    # U^-1 complete the columns of A to a basis of Z^n
+    u, _, _ = smith_rows([[v[i] for v in basis.vectors] for i in range(n)])
     u_inv = unimodular_inverse_rows(u)
-    vectors = [tuple(u_inv[i][j] for i in range(n)) for j in range(k, n)]
-    return LatticeBasis(n, vectors, summand=True)
+    return LatticeBasis(n, [tuple(u_inv[i][j] for i in range(n)) for j in range(k, n)])
 
 
 def is_unimodular_vector(vec) -> bool:

@@ -1,15 +1,24 @@
-"""Write the seeded corpus of automorphism-kernel inputs and outputs.
+"""Write the seeded corpora that pin the automorphism kernel and the lattice
+layer to recorded outputs.
 
     PYTHONPATH=src python3 tests/make_kernel_corpus.py
 
 The committed ``tests/data/kernel_corpus_r2_6_s4.json`` was written by this
 script before ``compose`` became a closed form, when it applied sigma to
 each image of rho.  ``TestKernelCorpus`` in ``test_autgroup.py`` replays
-it, pinning today's kernel to those outputs; regenerating it from the
-current code would only pin the code to itself.
+it, pinning today's kernel to those outputs.  ``tests/data/
+lattice_corpus_r2_6_s4.json`` was written before ``LatticeBasis`` lost its
+second elimination routine and ``plus_minus`` began to carry the defect;
+``TestLatticeCorpus`` in ``test_involutions.py`` replays it.
+
+Regenerating a corpus from the current code would only pin the code to
+itself, so the script never overwrites a corpus file: it writes the missing
+ones and leaves the others as they are.  Delete a file first to re-pin it on
+purpose.
 
 Elements are stored as ``[abelian, comm]``; automorphisms as the list of
-their generator images.
+their generator images; matrices as lists of rows and lattice bases as lists
+of vectors.  An operation that raises is stored as ``{"error": <class>}``.
 """
 
 from __future__ import annotations
@@ -18,14 +27,24 @@ import json
 import random
 from pathlib import Path
 
-from freenil2 import autgroup
+from freenil2 import autgroup, involutions
+from freenil2.errors import FreeNil2Error
 from freenil2.nilcore import Element, pair_count
-from freenil2.sampling import random_automorphism, random_ia
+from freenil2.sampling import (
+    random_automorphism,
+    random_ia,
+    random_involution_matrix,
+    random_unimodular_word,
+)
+from freenil2.zlinalg import IntMatrix, direct_complement, kernel_summand_basis
 
 SEED = 4
 RANKS = range(2, 7)
 CASES = 6  # per operation and rank
-PATH = Path(__file__).parent / "data" / "kernel_corpus_r2_6_s4.json"
+DATA = Path(__file__).parent / "data"
+KERNEL_PATH = DATA / "kernel_corpus_r2_6_s4.json"
+LATTICE_PATH = DATA / "lattice_corpus_r2_6_s4.json"
+WORD_LENGTHS = (4, 400)  # conjugator lengths; 400 letters give entries of up to ~17 digits
 
 
 def _element(g: Element) -> list:
@@ -40,7 +59,7 @@ def _sigma(rng: random.Random, n: int):
     return autgroup.compose(random_automorphism(rng, n), random_ia(rng, n, bound=9))
 
 
-def build() -> dict:
+def build_kernel() -> dict:
     rng = random.Random(SEED)
     corpus = {"seed": SEED, "apply": [], "compose": [], "invert": []}
     for n in RANKS:
@@ -62,12 +81,85 @@ def build() -> dict:
     return corpus
 
 
-if __name__ == "__main__":
-    corpus = build()
+def _vectors(basis) -> list:
+    return [list(v) for v in basis.vectors]
+
+
+def _outcome(encode, op, *args):
+    try:
+        return encode(op(*args))
+    except FreeNil2Error as exc:
+        return {"error": type(exc).__name__}
+
+
+def _commuting_pair(rng: random.Random, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """Two diagonalizable involutions on one random eigenbasis."""
+    w, w_inv = random_unimodular_word(rng, n, rng.choice(WORD_LENGTHS))
+    signs = [IntMatrix([[rng.choice((1, -1)) if i == j else 0 for j in range(n)]
+                        for i in range(n)]) for _ in range(2)]
+    return w * signs[0] * w_inv, w * signs[1] * w_inv
+
+
+def build_lattice() -> dict:
+    rng = random.Random(SEED)
+    corpus = {"seed": SEED, "involutions": [], "pairs": []}
+    for n in RANKS:
+        identity = IntMatrix.identity(n)
+        for _ in range(CASES):
+            f = random_involution_matrix(rng, n, word_length=rng.choice(WORD_LENGTHS))
+            pm = involutions.plus_minus(f)
+            kernel = kernel_summand_basis(f - identity)
+            form = involutions.canonicalize_involution(f)
+            corpus["involutions"].append({
+                "f": f.to_lists(),
+                "plus": _vectors(pm.plus),
+                "minus": _vectors(pm.minus),
+                "defect": involutions.defect(f),
+                "kernel": _vectors(kernel),
+                "complement": _vectors(direct_complement(kernel)),
+                "type": list(form.block_type()),
+                "basis": form.basis.to_lists(),
+            })
+        for k in range(CASES):
+            if k % 2:
+                f, g = _commuting_pair(rng, n)
+            else:
+                f, g = (random_involution_matrix(rng, n, diagonalizable=True,
+                                                 word_length=rng.choice(WORD_LENGTHS))
+                        for _ in range(2))
+            corpus["pairs"].append({
+                "f": f.to_lists(),
+                "g": g.to_lists(),
+                "commuting": _outcome(lambda bases: [_vectors(b) for b in bases],
+                                      involutions.commuting_decomposition, f, g),
+                "sqrt": _outcome(IntMatrix.to_lists, involutions.sqrt_of_involution, f),
+            })
+    return corpus
+
+
+def dump(corpus: dict) -> str:
+    """One case per line, so a diff shows which case changed."""
     lines = ["{", f'"seed": {corpus["seed"]},']
-    for k, op in enumerate(("apply", "compose", "invert")):
+    ops = [op for op in corpus if op != "seed"]
+    for k, op in enumerate(ops):
         cases = ",\n".join(json.dumps(case, separators=(",", ":")) for case in corpus[op])
-        lines.append(f'"{op}": [\n{cases}\n]' + ("," if k < 2 else ""))
+        lines.append(f'"{op}": [\n{cases}\n]' + ("," if k < len(ops) - 1 else ""))
     lines.append("}")
-    PATH.write_text("\n".join(lines) + "\n")
-    print(f"wrote {PATH}")
+    return "\n".join(lines) + "\n"
+
+
+def write_new(path: Path, text: str) -> None:
+    """Write a corpus file that does not exist yet; raise FileExistsError
+    rather than re-pin an existing one."""
+    with path.open("x") as out:
+        out.write(text)
+
+
+if __name__ == "__main__":
+    for path, build in ((KERNEL_PATH, build_kernel), (LATTICE_PATH, build_lattice)):
+        try:
+            write_new(path, dump(build()))
+        except FileExistsError:
+            print(f"kept {path}: it exists, delete it first to re-pin it")
+        else:
+            print(f"wrote {path}")

@@ -1,17 +1,27 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from freenil2 import autgroup as ag
 from freenil2 import involutions as inv
 from freenil2.errors import (
+    FreeNil2Error,
     NotDiagonalizable,
     NotInvolution,
     OddNegativeRank,
 )
 from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
-from freenil2.zlinalg import IntMatrix, is_unimodular_matrix
+from freenil2.zlinalg import (
+    IntMatrix,
+    direct_complement,
+    is_unimodular_matrix,
+    kernel_summand_basis,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_block_type(f: IntMatrix, bound=3):
@@ -129,6 +139,55 @@ class TestCanonicalForm:
             inv.canonicalize_involution(IntMatrix([[1, 1], [0, 1]]))
 
 
+class TestLatticeCorpus:
+    """Replays inputs and outputs recorded before LatticeBasis lost its
+    second elimination routine (written by tests/make_kernel_corpus.py)."""
+
+    corpus = json.loads((DATA / "lattice_corpus_r2_6_s4.json").read_text())
+
+    @staticmethod
+    def vectors(basis):
+        return [list(v) for v in basis.vectors]
+
+    @staticmethod
+    def outcome(encode, op, *args):
+        try:
+            return encode(op(*args))
+        except FreeNil2Error as exc:
+            return {"error": type(exc).__name__}
+
+    def test_involutions(self):
+        for case in self.corpus["involutions"]:
+            f = IntMatrix(case["f"])
+            pm = inv.plus_minus(f)
+            assert self.vectors(pm.plus) == case["plus"]
+            assert self.vectors(pm.minus) == case["minus"]
+            assert pm.defect == inv.defect(f) == case["defect"]
+            kernel = kernel_summand_basis(f - IntMatrix.identity(f.n))
+            assert self.vectors(kernel) == case["kernel"]
+            assert self.vectors(direct_complement(kernel)) == case["complement"]
+            form = inv.canonicalize_involution(f)
+            assert list(form.block_type()) == case["type"]
+            assert form.basis.to_lists() == case["basis"]
+
+    def test_script_refuses_to_overwrite(self, tmp_path):
+        import make_kernel_corpus
+
+        path = tmp_path / "corpus.json"
+        path.write_text("pinned\n")
+        with pytest.raises(FileExistsError):
+            make_kernel_corpus.write_new(path, "{}\n")
+        assert path.read_text() == "pinned\n"
+
+    def test_pairs(self):
+        for case in self.corpus["pairs"]:
+            f, g = IntMatrix(case["f"]), IntMatrix(case["g"])
+            bases = self.outcome(lambda bs: [self.vectors(b) for b in bs],
+                                 inv.commuting_decomposition, f, g)
+            assert bases == case["commuting"]
+            assert self.outcome(IntMatrix.to_lists, inv.sqrt_of_involution, f) == case["sqrt"]
+
+
 class TestCommutingDecomposition:
     def test_diagonal_pair(self):
         f = IntMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
@@ -227,6 +286,11 @@ class TestThreeConjugatesProbe:
         assert result.found()
         assert result.counterexample["product"] == [[0, 1], [1, 2]]
         assert result.counterexample["product_square"] == [[1, 2], [2, 5]]
+
+    def test_rank_one(self):
+        # every conjugate of -I is -I; rank 1 has no transvections or swaps
+        result = inv.three_conjugates_probe(IntMatrix([[-1]]), trials=20, seed=0)
+        assert result.status == "no_counterexample" and result.trials == 20
 
     def test_witness_triples_are_conjugates(self):
         # each pinned conjugate is genuinely conjugate to its base involution:

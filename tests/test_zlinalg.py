@@ -127,9 +127,43 @@ class TestKernel:
             assert abs(IntMatrix.from_columns(combined).det()) == 1
 
 
+def cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+@st.composite
+def vector_lists(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return n, draw(st.lists(row, min_size=k, max_size=k))
+
+
+class TestLatticeBasis:
+    @given(vector_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_minors_oracle(self, case):
+        """Accepted iff the k x k minors of the vectors have gcd 1; dependent
+        (every minor 0) is a ValueError, any other gcd NotASummand."""
+        n, vectors = case
+        g = 0
+        for rsel in itertools.combinations(range(n), len(vectors)):
+            g = gcd(g, cofactor_det([[v[i] for v in vectors] for i in rsel]))
+        if g == 1:
+            assert LatticeBasis(n, vectors).vectors == tuple(map(tuple, vectors))
+        else:
+            with pytest.raises((ValueError, NotASummand)) as exc:
+                LatticeBasis(n, vectors)
+            assert exc.type is (ValueError if g == 0 else NotASummand)
+
+
 class TestComplement:
     def test_example(self):
-        s = LatticeBasis(2, [(1, -1)], summand=True)
+        s = LatticeBasis(2, [(1, -1)])
         c = direct_complement(s)
         assert abs(IntMatrix.from_columns([(1, -1)] + list(c.vectors)).det()) == 1
         # independent oracle: some complement with small entries exists
@@ -139,17 +173,14 @@ class TestComplement:
         )
 
     def test_full_and_empty(self):
-        full = LatticeBasis(2, [(1, 0), (0, 1)], summand=True)
+        full = LatticeBasis(2, [(1, 0), (0, 1)])
         assert len(direct_complement(full)) == 0
-        empty = LatticeBasis(3, [], summand=True)
+        empty = LatticeBasis(3, [])
         assert len(direct_complement(empty)) == 3
 
     def test_not_a_summand(self):
         with pytest.raises(NotASummand):
-            LatticeBasis(2, [(2, 0)], summand=True)
-        unflagged = LatticeBasis(2, [(1, 0)])
-        with pytest.raises(NotASummand):
-            direct_complement(unflagged)
+            LatticeBasis(2, [(2, 0)])
 
     def test_dependent_vectors_rejected(self):
         with pytest.raises(ValueError):
