@@ -29,7 +29,7 @@ from .errors import (
     NotUnimodular,
     RankMismatch,
 )
-from .nilcore import Element, pair_index, pair_list
+from .nilcore import Element, commutator, pair_index, pair_list
 from .zlinalg import IntMatrix, inverse_unimodular, is_unimodular_matrix
 
 
@@ -212,9 +212,11 @@ def ia_offsets(sigma: Automorphism) -> list[tuple[int, ...]]:
 
 
 def ia_from_offsets(rank: int, offsets) -> Automorphism:
-    """IA automorphism with the given central offset per generator image."""
+    """IA automorphism with the given central offset per generator image:
+    image i is (e_i, offset_i), equal to x_i * central(offset_i) since the
+    cross term with a central factor is zero."""
     return Automorphism(
-        [Element.generator(rank, i) * Element.central(rank, off)
+        [Element(rank, Element.generator(rank, i).abelian, off)
          for i, off in enumerate(offsets, start=1)]
     )
 
@@ -234,10 +236,11 @@ def invert(sigma: Automorphism) -> Automorphism:
 
 
 def conjugation(a: Element) -> Automorphism:
-    """The inner automorphism g -> a g a^-1; depends only on a mod centre."""
-    inv_a = a.inverse()
-    return Automorphism(
-        [a * Element.generator(a.rank, i) * inv_a for i in range(1, a.rank + 1)]
+    """The inner automorphism g -> a g a^-1; depends only on a mod centre.
+    In class two a x_i a^-1 = x_i [x_i, a^-1] = x_i [a, x_i]."""
+    n = a.rank
+    return ia_from_offsets(
+        n, [commutator(a, Element.generator(n, i)).comm for i in range(1, n + 1)]
     )
 
 
@@ -310,16 +313,18 @@ def classify_involution(sigma: Automorphism) -> InvolutionKind:
     return InvolutionKind.OTHER_INVOLUTION
 
 
+def _basis_set_witnesses(taus) -> list[Element]:
+    """Zero-offset witnesses of a candidate basis set of conjugations."""
+    witnesses = [inner_witness(tau) for tau in taus]
+    if any(w is None for w in witnesses):
+        raise NotInner("an element of the candidate basis set is not a conjugation")
+    return witnesses
+
+
 def is_basis_conjugation_set(taus) -> bool:
     """True iff the witnesses of the given conjugations form a basis of the
     (free abelian) group of inner automorphisms."""
-    taus = list(taus)
-    witnesses = []
-    for tau in taus:
-        w = inner_witness(tau)
-        if w is None:
-            raise NotInner("an element of the candidate basis set is not a conjugation")
-        witnesses.append(w)
+    witnesses = _basis_set_witnesses(taus)
     if not witnesses or len(witnesses) != witnesses[0].rank:
         return False
     return is_unimodular_matrix(IntMatrix.from_columns([w.abelian for w in witnesses]))
@@ -328,10 +333,7 @@ def is_basis_conjugation_set(taus) -> bool:
 def conjugation_basis_symmetry(taus) -> Automorphism:
     """The symmetry inverting the zero-offset witnesses of a basis set of
     conjugations."""
-    witnesses = [inner_witness(tau) for tau in taus]
-    if any(w is None for w in witnesses):
-        raise NotInner("an element of the candidate basis set is not a conjugation")
-    rho = Automorphism(witnesses)
+    rho = Automorphism(_basis_set_witnesses(taus))
     return compose(rho, compose(symmetry_standard(rho.rank), invert(rho)))
 
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .nilcore import Element, offset_support_split
 from .report import CheckResult
+from .wordlang import format_automorphism
 
 
 class PMClass(Enum):
@@ -149,7 +150,6 @@ def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed:
                                {"reason": "sampled member not inverted by the extremal involution"})
         conj = autgroup.compose(autgroup.compose(psi, lam), psi)
         if conj != autgroup.invert(lam):
-            from .wordlang import format_automorphism
             return CheckResult("inversion_criterion", "fail", ran,
                                {"member": format_automorphism(lam)})
         if rank >= 3:
@@ -160,7 +160,6 @@ def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed:
                                    {"reason": "constructed member left the inverted set"})
             conj_bad = autgroup.compose(autgroup.compose(psi, bad), psi)
             if conj_bad == autgroup.invert(bad):
-                from .wordlang import format_automorphism
                 return CheckResult("inversion_criterion", "fail", ran,
                                    {"member": format_automorphism(bad),
                                     "reason": "nontrivial offset member was inverted"})

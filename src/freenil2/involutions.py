@@ -10,6 +10,7 @@ vectors, and swapping pairs - the canonical form computed here.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -321,8 +322,14 @@ def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
     _require_involution(f)
     n = f.n
     rng = random.Random(seed)
+
+    def conjugate() -> IntMatrix:
+        c, c_inv = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
+        return c * f * c_inv
+
+    random_triples = ([conjugate() for _ in range(3)] for _ in range(trials))
     ran = 0
-    for triple in candidate_triples or ():
+    for triple in itertools.chain(candidate_triples or (), random_triples):
         ran += 1
         product = triple[0] * triple[1] * triple[2]
         if not (product * product).is_identity():
@@ -330,24 +337,7 @@ def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
                 status="counterexample",
                 trials=ran,
                 counterexample={
-                    "conjugates": [t.to_lists() for t in triple],
-                    "product": product.to_lists(),
-                    "product_square": (product * product).to_lists(),
-                },
-            )
-    for _ in range(trials):
-        ran += 1
-        conjugates = []
-        for _ in range(3):
-            c, c_inv = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
-            conjugates.append(c * f * c_inv)
-        product = conjugates[0] * conjugates[1] * conjugates[2]
-        if not (product * product).is_identity():
-            return ProbeResult(
-                status="counterexample",
-                trials=ran,
-                counterexample={
-                    "conjugates": [c.to_lists() for c in conjugates],
+                    "conjugates": [c.to_lists() for c in triple],
                     "product": product.to_lists(),
                     "product_square": (product * product).to_lists(),
                 },

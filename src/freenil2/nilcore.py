@@ -172,9 +172,6 @@ class Element:
                 for c, (i, j) in zip(self.comm, pair_list(self.rank))]
         return Element(self.rank, [e * x for x in a], comm)
 
-    def conjugate_by(self, other: "Element") -> "Element":
-        return other * self * other.inverse()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)

@@ -10,6 +10,11 @@ it, pinning today's kernel to those outputs.  ``tests/data/
 lattice_corpus_r2_6_s4.json`` was written before ``LatticeBasis`` lost its
 second elimination routine and ``plus_minus`` began to carry the defect;
 ``TestLatticeCorpus`` in ``test_involutions.py`` replays it.
+``tests/data/ia_corpus_r2_6_s4.json`` was written while ``conjugation`` and
+``ia_from_offsets`` still multiplied ``Element`` objects out; it pins them,
+``inner_witness`` on inner and non-inner input, ``stabilizer_split`` and
+``decode_triplet`` (the ``is-inner``, ``split-ia`` and ``decode`` commands),
+and ``TestIACorpus`` in ``test_autgroup.py`` replays it.
 
 Regenerating a corpus from the current code would only pin the code to
 itself, so the script never overwrites a corpus file: it writes the missing
@@ -27,13 +32,16 @@ import json
 import random
 from pathlib import Path
 
-from freenil2 import autgroup, involutions
+from freenil2 import autgroup, iastruct, involutions
 from freenil2.errors import FreeNil2Error
 from freenil2.nilcore import Element, pair_count
 from freenil2.sampling import (
     random_automorphism,
+    random_element,
     random_ia,
+    random_ia_on_supports,
     random_involution_matrix,
+    random_unimodular,
     random_unimodular_word,
 )
 from freenil2.zlinalg import IntMatrix, direct_complement, kernel_summand_basis
@@ -44,6 +52,7 @@ CASES = 6  # per operation and rank
 DATA = Path(__file__).parent / "data"
 KERNEL_PATH = DATA / "kernel_corpus_r2_6_s4.json"
 LATTICE_PATH = DATA / "lattice_corpus_r2_6_s4.json"
+IA_PATH = DATA / "ia_corpus_r2_6_s4.json"
 WORD_LENGTHS = (4, 400)  # conjugator lengths; 400 letters give entries of up to ~17 digits
 
 
@@ -137,6 +146,71 @@ def build_lattice() -> dict:
     return corpus
 
 
+def _big_element(rng: random.Random, n: int) -> Element:
+    bound = rng.choice((9, 10**6))
+    return Element(n, [rng.randint(-bound, bound) for _ in range(n)],
+                   [rng.randint(-bound, bound) for _ in range(pair_count(n))])
+
+
+def build_ia() -> dict:
+    rng = random.Random(SEED)
+    corpus = {"seed": SEED, "conjugation": [], "inner_witness": [], "ia_from_offsets": [],
+              "stabilizer_split": [], "decode_triplet": []}
+    for n in RANKS:
+        for _ in range(CASES):
+            a = _big_element(rng, n)
+            corpus["conjugation"].append({"a": _element(a),
+                                          "out": _automorphism(autgroup.conjugation(a))})
+        for k in range(CASES):
+            # even cases are inner; odd ones compose an inner automorphism with
+            # a random IA one, which is inner only at rank 2
+            alpha = autgroup.conjugation(_big_element(rng, n))
+            if k % 2:
+                alpha = autgroup.compose(alpha, random_ia(rng, n, bound=rng.choice((1, 9))))
+            witness = autgroup.inner_witness(alpha)
+            corpus["inner_witness"].append({"alpha": _automorphism(alpha),
+                                            "out": witness and _element(witness)})
+        for _ in range(CASES):
+            offsets = [list(_big_element(rng, n).comm) for _ in range(n)]
+            corpus["ia_from_offsets"].append({
+                "offsets": offsets,
+                "out": _automorphism(autgroup.ia_from_offsets(n, offsets))})
+        for k in range(CASES):
+            # the last case moves x_i, which the split rejects
+            i = rng.randint(1, n)
+            supports = [() if j == i and k < CASES - 1 else range(pair_count(n))
+                        for j in range(1, n + 1)]
+            alpha = random_ia_on_supports(rng, n, supports, bound=rng.choice((2, 10**6)))
+            corpus["stabilizer_split"].append({
+                "alpha": _automorphism(alpha), "i": i,
+                "out": _outcome(lambda split: [_automorphism(split.plus),
+                                               _automorphism(split.minus)],
+                                iastruct.stabilizer_split, alpha, i)})
+        for k in range(CASES):
+            # witnesses: the columns of a random unimodular matrix, with random
+            # central parts; the last case doubles one of them, so no basis
+            columns = random_unimodular(rng, n).columns()
+            witnesses = [Element(n, col, random_element(rng, n).comm) for col in columns]
+            if k == CASES - 1:
+                witnesses[0] = witnesses[0] ** 2
+            taus = [autgroup.conjugation(w) for w in witnesses]
+            symmetry = _outcome(lambda s: s, autgroup.conjugation_basis_symmetry, taus)
+            base = (autgroup.symmetry_standard(n) if isinstance(symmetry, dict)
+                    else symmetry)
+            # odd k: an IA factor with random offsets, not a square, so usually
+            # no representative is inverted
+            beta = random_ia(rng, n)
+            theta = autgroup.compose(base, beta if k % 2 else autgroup.compose(beta, beta))
+            i = rng.randint(1, n)
+            corpus["decode_triplet"].append({
+                "taus": [_automorphism(t) for t in taus],
+                "basis": autgroup.is_basis_conjugation_set(taus),
+                "symmetry": symmetry if isinstance(symmetry, dict) else _automorphism(symmetry),
+                "theta": _automorphism(theta), "i": i,
+                "out": _outcome(_element, iastruct.decode_triplet, taus[i - 1], theta, taus)})
+    return corpus
+
+
 def dump(corpus: dict) -> str:
     """One case per line, so a diff shows which case changed."""
     lines = ["{", f'"seed": {corpus["seed"]},']
@@ -156,7 +230,8 @@ def write_new(path: Path, text: str) -> None:
 
 
 if __name__ == "__main__":
-    for path, build in ((KERNEL_PATH, build_kernel), (LATTICE_PATH, build_lattice)):
+    for path, build in ((KERNEL_PATH, build_kernel), (LATTICE_PATH, build_lattice),
+                        (IA_PATH, build_ia)):
         try:
             write_new(path, dump(build()))
         except FileExistsError:

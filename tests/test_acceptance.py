@@ -130,7 +130,7 @@ def test_09_inner_witness_and_tau_homomorphism():
         ok = ok and result.status == "pass"
         result = verify.check_conjugation_homomorphism(rank, 100, SEED)
         ok = ok and result.status == "pass"
-    report(9, "inner-witness-solver", ok, "(300/rank vs brute force, 300 tau pairs)")
+    report(9, "inner-witness-solver", ok, "(300/rank vs exact oracle, 300 tau pairs)")
 
 
 def test_10_extremal_classification():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -5,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from freenil2 import autgroup as ag
+from freenil2 import iastruct, verify
 from freenil2.autgroup import Automorphism, InvolutionKind
 from freenil2.errors import (
+    FreeNil2Error,
     IndexOutOfRank,
     InvalidAutomorphism,
     NotIA,
@@ -16,7 +19,6 @@ from freenil2.errors import (
 )
 from freenil2.nilcore import Element, commutator, pair_list
 from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
-from freenil2.verify import _brute_force_witness
 from freenil2.wordlang import parse_element
 from freenil2.zlinalg import IntMatrix, inverse_unimodular
 
@@ -57,6 +59,20 @@ def invert_closed_form(sigma):
     return Automorphism(images)
 
 
+def brute_force_witness(alpha, bound=3):
+    """Oracle for ``inner_witness`` and ``verify.exact_inner_witness``:
+    exhaustive search over abelian parts in [-bound, bound]^n, comparing
+    conjugation images one generator at a time so mismatches exit early."""
+    n = alpha.rank
+    generators = [Element.generator(n, i) for i in range(1, n + 1)]
+    for vec in itertools.product(range(-bound, bound + 1), repeat=n):
+        a = Element(n, vec)
+        a_inv = a.inverse()
+        if all(a * g * a_inv == img for g, img in zip(generators, alpha.images)):
+            return a
+    return None
+
+
 def big_automorphism(rng, n, bound=10**6):
     """Random automorphism with abelian entries and central parts up to
     about bound."""
@@ -92,6 +108,19 @@ class TestConstruction:
     def test_mixed_ranks_rejected(self):
         with pytest.raises(RankMismatch):
             Automorphism([Element.generator(2, 1), Element.generator(3, 2)])
+
+    def test_ia_from_offsets_input_checks(self):
+        with pytest.raises(IndexOutOfRank):
+            ag.ia_from_offsets(2, [(1,), (2,), (3,)])
+        for offsets in ([(0, 0, 0)], []):
+            with pytest.raises(InvalidAutomorphism):
+                ag.ia_from_offsets(3, offsets)
+        for offsets in ([(1, 2), (0,)], [("x",), (0,)]):
+            with pytest.raises(ValueError):
+                ag.ia_from_offsets(2, offsets)
+        alpha = ag.ia_from_offsets(2, [("3",), (True,)])
+        assert [img.comm for img in alpha.images] == [(3,), (1,)]
+        assert all(plain_ints(img) for img in alpha.images)
 
 
 class TestApply:
@@ -234,6 +263,64 @@ class TestKernelCorpus:
             assert ag.invert(sigma) == self.automorphism(case["out"])
 
 
+class TestIACorpus:
+    """Replays inputs and outputs recorded while conjugation and
+    ia_from_offsets still multiplied elements out (written by
+    tests/make_kernel_corpus.py).  Outputs are compared in the recorded
+    encoding."""
+
+    corpus = json.loads((DATA / "ia_corpus_r2_6_s4.json").read_text())
+    element = staticmethod(TestKernelCorpus.element)
+    automorphism = TestKernelCorpus.automorphism
+
+    @staticmethod
+    def encode_element(g):
+        return [list(g.abelian), list(g.comm)]
+
+    def encode(self, sigma):
+        return [self.encode_element(img) for img in sigma.images]
+
+    @staticmethod
+    def outcome(encode, op, *args):
+        try:
+            return encode(op(*args))
+        except FreeNil2Error as exc:
+            return {"error": type(exc).__name__}
+
+    def test_conjugation(self):
+        for case in self.corpus["conjugation"]:
+            assert self.encode(ag.conjugation(self.element(case["a"]))) == case["out"]
+
+    def test_inner_witness(self):
+        outs = [case["out"] for case in self.corpus["inner_witness"]]
+        assert None in outs and any(outs)
+        for case in self.corpus["inner_witness"]:
+            witness = ag.inner_witness(self.automorphism(case["alpha"]))
+            assert (witness and self.encode_element(witness)) == case["out"]
+
+    def test_ia_from_offsets(self):
+        for case in self.corpus["ia_from_offsets"]:
+            n = len(case["offsets"])
+            assert self.encode(ag.ia_from_offsets(n, case["offsets"])) == case["out"]
+
+    def test_stabilizer_split(self):
+        for case in self.corpus["stabilizer_split"]:
+            got = self.outcome(lambda split: [self.encode(split.plus), self.encode(split.minus)],
+                               iastruct.stabilizer_split,
+                               self.automorphism(case["alpha"]), case["i"])
+            assert got == case["out"]
+
+    def test_decode_triplet(self):
+        for case in self.corpus["decode_triplet"]:
+            taus = [self.automorphism(t) for t in case["taus"]]
+            assert ag.is_basis_conjugation_set(taus) == case["basis"]
+            assert self.outcome(self.encode, ag.conjugation_basis_symmetry, taus) == (
+                case["symmetry"])
+            got = self.outcome(self.encode_element, iastruct.decode_triplet,
+                               taus[case["i"] - 1], self.automorphism(case["theta"]), taus)
+            assert got == case["out"]
+
+
 class TestAbelianizeLift:
     def test_examples(self):
         assert ag.abelianize(Automorphism.identity(2)) == IntMatrix.identity(2)
@@ -348,11 +435,49 @@ class TestInnerWitness:
             else:
                 alpha = random_ia(rng, n, 1)
             solved = ag.inner_witness(alpha)
-            brute = _brute_force_witness(alpha)
+            brute = brute_force_witness(alpha)
             assert (solved is None) == (brute is None)
             if solved is not None:
                 assert solved.abelian == brute.abelian
                 assert ag.conjugation(solved) == alpha
+
+    def test_exact_oracle_matches_brute_force(self, monkeypatch):
+        # on the automorphisms the suite's own check draws
+        exact = verify.exact_inner_witness
+        drawn = []
+
+        def recording(alpha):
+            drawn.append(alpha)
+            return exact(alpha)
+
+        monkeypatch.setattr(verify, "exact_inner_witness", recording)
+        for rank, trials in ((2, 40), (3, 40), (4, 10)):
+            assert verify.check_inner_witness_solver(rank, trials, 0).status == "pass"
+        assert len(drawn) == 90
+        outcomes = set()
+        for alpha in drawn:
+            got, brute = exact(alpha), brute_force_witness(alpha)
+            outcomes.add(got is None)
+            assert (got is None) == (brute is None)
+            if got is not None:
+                assert got.abelian == brute.abelian
+        assert outcomes == {True, False}
+        assert exact(ag.symmetry_standard(3)) is None
+
+    def test_exact_oracle_catches_sign_flipped_conjugation(self, monkeypatch):
+        # the flipped map is still a homomorphism with kernel the centre, so
+        # conjugation_homomorphism passes it; only the product-built oracle
+        # tells a from a^-1
+        def flipped(a):
+            n = a.rank
+            return ag.ia_from_offsets(
+                n, [commutator(Element.generator(n, i), a).comm for i in range(1, n + 1)])
+
+        monkeypatch.setattr(ag, "conjugation", flipped)
+        for rank in range(2, 6):
+            assert verify.check_conjugation_homomorphism(rank, 20, 0).status == "pass"
+            result = verify.check_inner_witness_solver(rank, 20, 0)
+            assert result.status == "fail" and "oracle" in result.counterexample
 
 
 class TestStandardInvolutions:
