@@ -93,15 +93,7 @@ class Automorphism:
         return f"Automorphism(rank={self.rank})"
 
     def is_identity(self) -> bool:
-        return self == Automorphism.identity(self.rank)
-
-    def __call__(self, g: Element) -> Element:
-        return apply(self, g)
-
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return compose(self, other)
+        return is_ia(self) and not any(any(img.comm) for img in self.images)
 
 
 def apply(sigma: Automorphism, g: Element) -> Element:
@@ -199,9 +191,15 @@ def lift(matrix: IntMatrix) -> Automorphism:
     return Automorphism([Element(matrix.n, matrix.column(j)) for j in range(matrix.n)])
 
 
+def _abelianizes_to_scalar(sigma: Automorphism, sign: int) -> bool:
+    """True iff sigma abelianizes to sign * I: image i has abelian part sign * e_i."""
+    return all(x == (sign if k == i else 0)
+               for i, img in enumerate(sigma.images) for k, x in enumerate(img.abelian))
+
+
 def is_ia(sigma: Automorphism) -> bool:
     """True iff sigma induces the identity on the abelianization."""
-    return abelianize(sigma).is_identity()
+    return _abelianizes_to_scalar(sigma, 1)
 
 
 def ia_offsets(sigma: Automorphism) -> list[tuple[int, ...]]:
@@ -270,19 +268,16 @@ def inner_witness(alpha: Automorphism) -> Element | None:
 
 def symmetry_standard(rank: int) -> Automorphism:
     """Inverts every standard generator; the canonical symmetry."""
-    return Automorphism(
-        [Element.generator(rank, i).inverse() for i in range(1, rank + 1)]
-    )
+    return Automorphism([Element.generator(rank, i).inverse() for i in range(1, rank + 1)])
 
 
 def extremal_standard(rank: int, i: int) -> Automorphism:
     """Inverts x_i and fixes the other standard generators."""
     if not 1 <= i <= rank:
         raise IndexOutOfRank(f"generator index {i} outside 1..{rank}")
-    return Automorphism(
-        [Element.generator(rank, k).inverse() if k == i else Element.generator(rank, k)
-         for k in range(1, rank + 1)]
-    )
+    images = [Element.generator(rank, k) for k in range(1, rank + 1)]
+    images[i - 1] = images[i - 1].inverse()
+    return Automorphism(images)
 
 
 def basis_permutation(rank: int, perm) -> Automorphism:
@@ -297,17 +292,17 @@ def classify_involution(sigma: Automorphism) -> InvolutionKind:
     """Coarse type of an involution, read off the abelianization.
 
     Symmetry-mod-IA means the induced matrix is -I (such an automorphism is
-    automatically an involution); extremal-mod-IA means the induced matrix is
-    an integrally diagonalizable involution negating a rank-1 summand.
+    automatically an involution, as it fixes the centre); extremal-mod-IA means
+    the induced matrix is an integrally diagonalizable involution negating a
+    rank-1 summand.
     """
     from .involutions import plus_minus
 
+    if _abelianizes_to_scalar(sigma, -1):
+        return InvolutionKind.SYMMETRY_MOD_IA
     if not compose(sigma, sigma).is_identity():
         return InvolutionKind.NOT_INVOLUTION
-    matrix = abelianize(sigma)
-    if matrix == -IntMatrix.identity(sigma.rank):
-        return InvolutionKind.SYMMETRY_MOD_IA
-    pm = plus_minus(matrix)
+    pm = plus_minus(abelianize(sigma))
     if pm.defect == 0 and len(pm.minus) == 1:
         return InvolutionKind.EXTREMAL_MOD_IA
     return InvolutionKind.OTHER_INVOLUTION
@@ -338,15 +333,12 @@ def conjugation_basis_symmetry(taus) -> Automorphism:
 
 
 def is_attached_symmetry(theta: Automorphism, taus) -> bool:
-    """Whether theta differs from the basis-set symmetry by an IA square.
+    """Whether theta differs from the basis-set symmetry theta_B by an IA square.
 
-    The quotient theta_B o theta is IA exactly when theta is a symmetry
-    mod IA, and it is a square in IA exactly when every central offset is
-    even; the answer does not depend on the witness representatives, which
-    can only change the quotient by another IA square.
+    theta_B o theta is IA exactly when theta abelianizes to -I; it then maps each
+    witness w to w * (w * theta(w)), and as the witness matrix is unimodular, its
+    offsets are all even exactly when every w * theta(w) has even exponents.
     """
-    theta_b = conjugation_basis_symmetry(taus)
-    delta = compose(theta_b, theta)
-    if not is_ia(delta):
-        return False
-    return all(all(c % 2 == 0 for c in off) for off in ia_offsets(delta))
+    witnesses = Automorphism(_basis_set_witnesses(taus)).images
+    products = [w * apply(theta, w) for w in witnesses]  # RankMismatch before the -I test
+    return _abelianizes_to_scalar(theta, -1) and all(c % 2 == 0 for d in products for c in d.comm)

@@ -184,8 +184,6 @@ def decode_triplet(tau: Automorphism, theta: Automorphism, taus) -> Element:
     if y is None:
         raise NotAttached("tau is not a conjugation")
     d = y * autgroup.apply(theta, y)
-    if not d.is_central():
-        raise NotAttached("theta does not invert the witness modulo the centre")
     if any(c % 2 != 0 for c in d.comm):
         raise NoInvertedRepresentative(
             "the central discrepancy has an odd exponent; no coset element is inverted"

@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import IndexOutOfRank, RankMismatch, ZeroVector
+from .zlinalg import int_entries
 
 
 # Largest rank accepted from text and documents.  An element stores
@@ -69,13 +70,13 @@ class Element:
     __slots__ = ("rank", "abelian", "comm")
 
     def __init__(self, rank: int, abelian, comm=None):
-        abelian = tuple(int(x) for x in abelian)
+        abelian = int_entries(abelian)
         if len(abelian) != rank:
             raise ValueError(f"abelian part must have length {rank}")
         if comm is None:
             comm = (0,) * pair_count(rank)
         else:
-            comm = tuple(int(x) for x in comm)
+            comm = int_entries(comm)
             if len(comm) != pair_count(rank):
                 raise ValueError(f"comm part must have length {pair_count(rank)}")
         object.__setattr__(self, "rank", rank)
@@ -210,7 +211,7 @@ class GeneratorWord:
     letters: tuple[tuple[int, int], ...]
 
     def __init__(self, rank: int, letters):
-        letters = tuple((int(i), int(s)) for i, s in letters)
+        letters = tuple(int_entries(letter) for letter in letters)
         for i, s in letters:
             if not 1 <= i <= rank:
                 raise IndexOutOfRank(f"letter index {i} outside 1..{rank}")

@@ -13,10 +13,19 @@ standard basis vector.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
+
+
+def int_entries(values) -> tuple[int, ...]:
+    """Exact ints from ints, bools or decimal strings; a float is a ValueError, not truncated."""
+    try:
+        return tuple(int(x) if isinstance(x, str) else operator.index(x) for x in values)
+    except TypeError:
+        raise ValueError(f"expected integers or decimal strings, got {values!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +208,7 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(int_entries(row) for row in rows)
         n = len(rows)
         if n < 1:
             raise ValueError("matrix rank must be >= 1")
@@ -302,7 +311,7 @@ class LatticeBasis:
     vectors: tuple[tuple[int, ...], ...]
 
     def __init__(self, rank: int, vectors):
-        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        vectors = tuple(int_entries(v) for v in vectors)
         if any(len(v) != rank for v in vectors):
             raise ValueError("vector length does not match ambient rank")
         if len(vectors) > rank:
@@ -371,7 +380,7 @@ def direct_complement(basis: LatticeBasis) -> LatticeBasis:
 
 def is_unimodular_vector(vec) -> bool:
     """True iff the gcd of the entries is 1 (vector lies in some basis)."""
-    vec = tuple(int(x) for x in vec)
+    vec = int_entries(vec)
     if not any(vec):
         raise ZeroVector("the zero vector is not unimodular nor imprimitive")
     return gcd(*vec) == 1
@@ -393,7 +402,7 @@ def decompose_into_unimodular(vec) -> list[tuple[int, ...]]:
     (1, v2 - 1, 0, ..., 0) + (v1 - 1, 1, v3, ..., vn) applies: each part has
     an entry equal to 1, so both are unimodular.
     """
-    vec = tuple(int(x) for x in vec)
+    vec = int_entries(vec)
     if len(vec) < 2:
         raise ValueError("decomposition requires ambient rank >= 2")
     if gcd(*vec) == 1:

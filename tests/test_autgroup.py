@@ -17,7 +17,7 @@ from freenil2.errors import (
     NotUnimodular,
     RankMismatch,
 )
-from freenil2.nilcore import Element, commutator, pair_list
+from freenil2.nilcore import Element, commutator, pair_count, pair_list
 from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
 from freenil2.wordlang import parse_element
 from freenil2.zlinalg import IntMatrix, inverse_unimodular
@@ -83,6 +83,21 @@ def big_automorphism(rng, n, bound=10**6):
     return ag.compose(ag.lift(matrix), random_ia(rng, n, bound=bound))
 
 
+def attached_by_quotient(theta, taus):
+    """Oracle for ``is_attached_symmetry``: theta_B o theta is IA and all its
+    central offsets are even."""
+    delta = ag.compose(ag.conjugation_basis_symmetry(taus), theta)
+    return ag.abelianize(delta).is_identity() and all(
+        c % 2 == 0 for img in delta.images for c in img.comm)
+
+
+def random_basis_set(rng, n):
+    """Conjugations by the columns of a random unimodular matrix with random
+    central parts, drawn as the IA corpus draws them."""
+    columns = random_unimodular(rng, n).columns()
+    return [ag.conjugation(Element(n, col, random_element(rng, n).comm)) for col in columns]
+
+
 def plain_ints(g):
     return (type(g.abelian) is tuple and type(g.comm) is tuple
             and all(type(x) is int for x in g.abelian + g.comm))
@@ -121,6 +136,14 @@ class TestConstruction:
         alpha = ag.ia_from_offsets(2, [("3",), (True,)])
         assert [img.comm for img in alpha.images] == [(3,), (1,)]
         assert all(plain_ints(img) for img in alpha.images)
+
+    def test_float_offsets_rejected(self):
+        # int() would truncate 1.5 to 1 and give x1 -> x1*[x1,x2]
+        for offsets in ([(1.5,), (0,)], [(0,), (2.0,)]):
+            with pytest.raises(ValueError):
+                ag.ia_from_offsets(2, offsets)
+        with pytest.raises(ValueError):
+            Automorphism([Element(2, (1, 0.5)), Element.generator(2, 2)])
 
 
 class TestApply:
@@ -592,6 +615,95 @@ class TestAttachedSymmetry:
         assert all(t == s for t, s in zip(taus, shifted))
         theta = ag.symmetry_standard(n)
         assert ag.is_attached_symmetry(theta, shifted)
+
+
+class TestPredicateOracles:
+    """The predicates read off the generator images, against routes that
+    build automorphisms and matrices: comparison with the identity
+    automorphism, the abelianized matrix, the square and the quotient by the
+    basis-set symmetry."""
+
+    def automorphisms(self, rng, n):
+        shear = [[int(i == j) for j in range(n)] for i in range(n)]
+        shear[n - 1][0] = 1
+        last_offset = [[0] * pair_count(n) for _ in range(n)]
+        last_offset[n - 1][pair_count(n) - 1] = 1
+        cases = [
+            Automorphism.identity(n),
+            ag.symmetry_standard(n),
+            ag.extremal_standard(n, n),
+            ag.basis_permutation(n, [2, 1] + list(range(3, n + 1))),
+            ag.lift(IntMatrix(shear)),
+            ag.ia_from_offsets(n, last_offset),
+            ag.compose(ag.symmetry_standard(n), ag.ia_from_offsets(n, last_offset)),
+        ]
+        for _ in range(4):
+            cases += [random_automorphism(rng, n), random_ia(rng, n, 1),
+                      ag.compose(ag.symmetry_standard(n), random_ia(rng, n))]
+        return cases
+
+    def test_identity_ia_and_symmetry_match_old_routes(self):
+        rng = random.Random(14)
+        for n in range(2, 7):
+            identity, minus = Automorphism.identity(n), -IntMatrix.identity(n)
+            for sigma in self.automorphisms(rng, n):
+                assert sigma.is_identity() == (sigma == identity)
+                assert ag.is_ia(sigma) == ag.abelianize(sigma).is_identity()
+                square_is_identity = ag.compose(sigma, sigma) == identity
+                kind = ag.classify_involution(sigma)
+                assert (kind is InvolutionKind.NOT_INVOLUTION) == (not square_is_identity)
+                assert (kind is InvolutionKind.SYMMETRY_MOD_IA) == (
+                    square_is_identity and ag.abelianize(sigma) == minus)
+
+    def thetas(self, rng, n, taus):
+        base = ag.conjugation_basis_symmetry(taus)
+        beta = random_ia(rng, n)
+        # an IA factor with a single odd offset, so not a square
+        odd = [[0] * pair_count(n) for _ in range(n)]
+        odd[rng.randrange(n)][rng.randrange(pair_count(n))] = 2 * rng.randint(-2, 2) + 1
+        return {
+            "attached": ag.compose(base, ag.compose(beta, beta)),
+            "odd": ag.compose(base, ag.ia_from_offsets(n, odd)),
+            "standard": ag.symmetry_standard(n),
+            "not_symmetry": ag.compose(ag.extremal_standard(n, rng.randint(1, n)), beta),
+            "random": random_automorphism(rng, n),
+        }
+
+    def test_attachment_matches_quotient(self):
+        rng = random.Random(15)
+        seen = set()
+        for n in range(2, 7):
+            for _ in range(8):
+                taus = random_basis_set(rng, n)
+                for kind, theta in self.thetas(rng, n, taus).items():
+                    got = ag.is_attached_symmetry(theta, taus)
+                    assert got == attached_by_quotient(theta, taus), (n, kind)
+                    seen.add((kind, got))
+        assert {("attached", True), ("odd", False), ("not_symmetry", False),
+                ("standard", True), ("standard", False)} <= seen
+
+    def test_attachment_errors(self):
+        n = 3
+        taus = [ag.conjugation(Element.generator(n, i)) for i in range(1, n + 1)]
+        theta = ag.symmetry_standard(n)
+        not_inner = Automorphism([elem("x1*[x2,x3]", 3), elem("x2", 3), elem("x3", 3)])
+        index_two = ag.conjugation(Element(n, (2, 0, 0)))
+        other_rank = ag.conjugation(Element.generator(2, 1))
+        cases = [
+            ([not_inner] + taus[1:], theta, NotInner),
+            ([theta] + taus[1:], theta, NotIA),
+            (taus[:2], theta, InvalidAutomorphism),
+            ([], theta, InvalidAutomorphism),
+            ([index_two] + taus[1:], theta, InvalidAutomorphism),
+            (taus[:2] + [other_rank], theta, RankMismatch),
+            (taus, ag.symmetry_standard(4), RankMismatch),
+            (taus, ag.extremal_standard(2, 1), RankMismatch),
+        ]
+        for basis, theta, error in cases:
+            with pytest.raises(error):
+                ag.is_attached_symmetry(theta, basis)
+            with pytest.raises(error):
+                attached_by_quotient(theta, basis)
 
 
 class TestCentreless:

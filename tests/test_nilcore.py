@@ -133,6 +133,26 @@ class TestPow:
             Element.generator(2, 1) ** 2.5
 
 
+class TestConstruction:
+    def test_float_entries_rejected(self):
+        # int() would truncate: Element(2, [1.5, 0]) was x1
+        for abelian, comm in (([1.5, 0], None), ([1.0, 0], None), ([1, 0], [0.5]),
+                              ([1, 0], [-2.0])):
+            with pytest.raises(ValueError):
+                Element(2, abelian, comm)
+        with pytest.raises(ValueError):
+            Element.central(3, (0, 1e3, 0))
+        with pytest.raises(ValueError):
+            GeneratorWord(2, [(1.5, 1)])
+
+    def test_ints_bools_and_decimal_strings_convert(self):
+        g = Element(2, ["3", True], [" -4 "])
+        assert g == Element(2, (3, 1), (-4,))
+        assert all(type(x) is int for x in g.abelian + g.comm)
+        with pytest.raises(ValueError):
+            Element(2, ["1.5", 0])
+
+
 class TestInverse:
     def test_examples(self):
         assert Element.identity(3).inverse().is_identity()

@@ -92,6 +92,28 @@ class TestMatrixJson:
             IntMatrix.from_json("[[1, 2], [3]]")
 
 
+class TestIntegerEntries:
+    def test_float_entries_rejected(self):
+        # int() would truncate each of these to an integer matrix or basis
+        for rows in ([[1.5, 0], [0, 1]], [[1, 0], [0, 1.0]]):
+            with pytest.raises(ValueError):
+                IntMatrix(rows)
+        for vectors in ([(0.5, 1)], [(1, 0), (0, 1.0)]):
+            with pytest.raises(ValueError):
+                LatticeBasis(2, vectors)
+        # (1.5, 2) truncates to the unimodular (1, 2), (2.5, 4) to (2, 4)
+        with pytest.raises(ValueError):
+            is_unimodular_vector((1.5, 2))
+        with pytest.raises(ValueError):
+            decompose_into_unimodular((2.5, 4))
+
+    def test_ints_bools_and_decimal_strings_convert(self):
+        m = IntMatrix([["2", True], [0, 1]])
+        assert m == IntMatrix([[2, 1], [0, 1]])
+        assert all(type(x) is int for row in m.rows for x in row)
+        assert LatticeBasis(2, [("1", False)]).vectors == ((1, 0),)
+
+
 class TestKernel:
     def box_kernel(self, m: IntMatrix, bound=5):
         """Independent oracle: enumerate kernel vectors with entries in [-bound, bound]."""
