@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from . import autgroup, sampling
 from .errors import (
@@ -26,12 +27,10 @@ from .wordlang import format_automorphism
 from .zlinalg import (
     IntMatrix,
     LatticeBasis,
-    direct_complement,
+    inverse_unimodular,
     kernel_rows,
     kernel_summand_basis,
-    mul_rows,
-    smith_rows,
-    unimodular_inverse_rows,
+    summand_frame,
 )
 
 # The two noncentral involution classes of GL(2, Z) up to conjugacy, and for
@@ -136,13 +135,6 @@ def min_plus_minus_rank(f: IntMatrix) -> int:
     return min(len(pm.plus), len(pm.minus))
 
 
-def _solve_in_basis(inverse_rows: list[list[int]], vec) -> list[int]:
-    return [
-        sum(inverse_rows[i][k] * vec[k] for k in range(len(vec)))
-        for i in range(len(inverse_rows))
-    ]
-
-
 def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
     """Compute a fix/negate/swap basis for an involution.
 
@@ -160,48 +152,34 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
     _require_involution(f)
     n = f.n
     plus = kernel_summand_basis(f - IntMatrix.identity(n))
-    complement = direct_complement(plus)
     p0 = len(plus.vectors)
-
-    # P-coordinates: plus_cols is n x p0; solve via a left inverse from the
-    # Smith decomposition (exact because P is saturated).
     plus_cols = [[v[i] for v in plus.vectors] for i in range(n)]
-    if p0:
-        u_rows, _, v_rows = smith_rows(plus_cols)
-        # columns of plus_cols = U^-1 * [I; 0] * V^-1; left inverse = V * (first p0 rows of U)
-        left_inv = mul_rows(v_rows, [u_rows[i][:] for i in range(p0)])
-    else:
-        left_inv = []
+    # one frame of P gives the complement R and coordinates on P + R
+    complement, frame_rows = summand_frame(plus_cols)
 
     def to_p_coords(vec) -> list[int]:
-        coords = [sum(left_inv[i][k] * vec[k] for k in range(n)) for i in range(p0)]
-        rebuilt = [sum(plus_cols[i][j] * coords[j] for j in range(p0)) for i in range(n)]
-        if rebuilt != list(vec):
+        coords = [sum(map(mul, row, vec)) for row in frame_rows]
+        if any(coords[p0:]):
             raise CanonicalizationPostconditionFailed("vector is not in the fixed sublattice")
-        return coords
+        return coords[:p0]
 
     def from_p_coords(coords) -> tuple[int, ...]:
         return tuple(sum(plus_cols[i][j] * coords[j] for j in range(p0)) for i in range(n))
 
     negated: list[tuple[int, ...]] = []
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    pair_s_vectors: list[tuple[int, ...]] = []
     pair_u_coords: list[list[int]] = []  # P-coordinates of each pair's w-image
-    free_coords: list[list[int]] = [[1 if i == j else 0 for i in range(p0)] for j in range(p0)]
+    # split_rows: the inverse of [pair images | free part], both in P-coordinates
+    free_coords = split_rows = [[1 if i == j else 0 for i in range(p0)] for j in range(p0)]
 
-    for r in complement.vectors:
+    for r in complement:
         w = tuple(x + y for x, y in zip(f.apply(r), r))
         wc = to_p_coords(w)
-        k = len(pair_u_coords)
-        basis_cols = [[col[i] for col in pair_u_coords + free_coords] for i in range(p0)] if p0 else []
-        if p0:
-            coords = _solve_in_basis(unimodular_inverse_rows(basis_cols), wc)
-        else:
-            coords = []
-        alpha, beta = coords[:k], coords[k:]
+        coords = [sum(map(mul, row, wc)) for row in split_rows]
+        alpha, beta = coords[:len(pairs)], coords[len(pairs):]
         # correct by earlier pair vectors: each subtraction of s_i removes u_i
         s_vec = list(r)
-        for a_i, s_i in zip(alpha, pair_s_vectors):
+        for a_i, (s_i, _) in zip(alpha, pairs):
             if a_i:
                 s_vec = [x - a_i * y for x, y in zip(s_vec, s_i)]
         if all(b % 2 == 0 for b in beta):
@@ -222,15 +200,11 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
             fs = f.apply(s_tuple)
             u_vec = tuple(x + y for x, y in zip(fs, s_tuple))
             pairs.append((s_tuple, fs))
-            pair_s_vectors.append(s_tuple)
             pair_u_coords.append(to_p_coords(u_vec))
-            span = LatticeBasis(p0, [tuple(c) for c in pair_u_coords])
-            free_coords = [list(v) for v in direct_complement(span).vectors]
+            free_coords, split_rows = summand_frame(list(zip(*pair_u_coords)))
 
     fixed_vectors = [from_p_coords(v) for v in free_coords]
-    columns = list(fixed_vectors) + negated
-    for s_vec, fs in pairs:
-        columns.extend([s_vec, fs])
+    columns = fixed_vectors + negated + [v for pair in pairs for v in pair]
     form = InvolutionCanonicalForm(
         basis=IntMatrix.from_columns(columns),
         fixed=len(fixed_vectors),
@@ -288,7 +262,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
         a = p + 2 * t
         block[a + 1][a] = 1
         block[a][a + 1] = -1
-    h = basis * IntMatrix(block) * IntMatrix(unimodular_inverse_rows(basis.to_lists()))
+    h = basis * IntMatrix(block) * inverse_unimodular(basis)
     if not (h * h) == f:
         raise CanonicalizationPostconditionFailed("square root construction failed")
     return h

@@ -4,7 +4,10 @@ All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 rounds or wraps.  One normal-form engine (the Smith decomposition) drives the
 lattice operations: the independence and summand tests of a ``LatticeBasis``,
 saturated kernels, direct complements and unimodular inverses are all read
-off from it.  Determinants use fraction-free (Bareiss) elimination.
+off from it.  One decomposition of a summand basis gives both a complement and
+coordinates on the completed basis (``summand_frame``), and a basis read off a
+decomposition is not decomposed again to validate it.  Determinants use
+fraction-free (Bareiss) elimination.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
 standard basis vector.
@@ -38,12 +41,8 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows_b = len(b)
-    cols_b = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(rows_b)) for j in range(cols_b)]
-        for ra in a
-    ]
+    cols_b = list(zip(*b))
+    return [[sum(map(operator.mul, ra, col)) for col in cols_b] for ra in a]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -194,6 +193,19 @@ def unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
     return mul_rows(v, u)
 
 
+def _summand_decomposition(columns: list[list[int]]):
+    """(U, V) with U A V = [I; 0] for the n x k columns A of a summand basis.
+    Dependent columns (a zero divisor, or k > n) are a ``ValueError``; any
+    other divisor than 1 means their span is not a summand (``NotASummand``)."""
+    u, d, v = smith_rows(columns)
+    divisors = [d[i][i] for i in range(min(len(u), len(v)))]
+    if len(v) > len(u) or 0 in divisors:
+        raise ValueError("vectors are not linearly independent")
+    if any(di != 1 for di in divisors):
+        raise NotASummand(f"elementary divisors {divisors} are not all 1")
+    return u, v
+
+
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
@@ -304,7 +316,8 @@ class LatticeBasis:
     Validated at construction by one Smith decomposition of the vectors taken
     as columns: a zero divisor means they are dependent (``ValueError``), and
     any other divisor than 1 means their span is not a summand
-    (``NotASummand``).
+    (``NotASummand``).  Bases this module reads off a decomposition are built
+    unchecked by ``_trusted``.
     """
 
     rank: int
@@ -316,15 +329,18 @@ class LatticeBasis:
             raise ValueError("vector length does not match ambient rank")
         if len(vectors) > rank:
             raise ValueError("more vectors than the ambient rank")
-        if vectors:
-            _, d, _ = smith_rows([[v[i] for v in vectors] for i in range(rank)])
-            divisors = [d[i][i] for i in range(len(vectors))]
-            if 0 in divisors:
-                raise ValueError("vectors are not linearly independent")
-            if any(di != 1 for di in divisors):
-                raise NotASummand(f"elementary divisors {divisors} are not all 1")
+        _summand_decomposition([[v[i] for v in vectors] for i in range(rank)])
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vectors", vectors)
+
+    @classmethod
+    def _trusted(cls, rank: int, vectors: list[tuple[int, ...]]) -> "LatticeBasis":
+        """Unchecked construction, for bases read off a Smith decomposition in
+        this module: int tuples that span a summand by construction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "vectors", tuple(vectors))
+        return self
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -341,14 +357,16 @@ def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def kernel_rows(rows: list[list[int]]) -> LatticeBasis:
-    """Basis of the kernel of an m x n row list with m >= n, read off its
-    Smith decomposition: the columns of V over zero divisors.
+    """Basis of the kernel of an m x n row list, read off its Smith
+    decomposition U A V = D: the columns j of V with D e_j = 0, that is over a
+    zero divisor or, when m < n, past the last row.
 
     The kernel is automatically a saturated direct summand of Z^n.
     """
     _, d, v = smith_rows(rows)
     n = len(v)
-    return LatticeBasis(n, [tuple(row[j] for row in v) for j in range(n) if d[j][j] == 0])
+    return LatticeBasis._trusted(
+        n, [tuple(row[j] for row in v) for j in range(n) if j >= len(d) or d[j][j] == 0])
 
 
 def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
@@ -359,23 +377,29 @@ def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
     return kernel_rows(m.to_lists())
 
 
+def summand_frame(columns: list[list[int]]):
+    """(C, rows of [A | C]^-1) for the n x k columns A of a summand basis.
+
+    One Smith decomposition U A V = [I; 0] gives both: the columns C that
+    complete A to a basis of Z^n are the last n - k columns of U^-1, and
+    [A | C]^-1 = diag(V, I) U takes a vector to its coordinates on A, then C.
+    Raises as ``LatticeBasis`` does when A is not a summand basis.
+    """
+    u, v = _summand_decomposition(columns)
+    k = len(v)
+    u_inv = unimodular_inverse_rows(u)
+    complement = [tuple(row[j] for row in u_inv) for j in range(k, len(u))]
+    return complement, mul_rows(v, u[:k]) + u[k:]
+
+
 def direct_complement(basis: LatticeBasis) -> LatticeBasis:
     """A basis C with basis + C a basis of Z^n (det +-1).
 
     The returned complement is *some* valid complement; callers must not rely
     on a canonical choice.
     """
-    n = basis.rank
-    k = len(basis.vectors)
-    if k == 0:
-        return LatticeBasis(n, [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)])
-    if k == n:
-        return LatticeBasis(n, [])
-    # basis is a summand, so U A V = [I; 0] and the last n - k columns of
-    # U^-1 complete the columns of A to a basis of Z^n
-    u, _, _ = smith_rows([[v[i] for v in basis.vectors] for i in range(n)])
-    u_inv = unimodular_inverse_rows(u)
-    return LatticeBasis(n, [tuple(u_inv[i][j] for i in range(n)) for j in range(k, n)])
+    complement, _ = summand_frame([[v[i] for v in basis.vectors] for i in range(basis.rank)])
+    return LatticeBasis._trusted(basis.rank, complement)
 
 
 def is_unimodular_vector(vec) -> bool:

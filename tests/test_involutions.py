@@ -16,8 +16,10 @@ from freenil2.errors import (
 from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
 from freenil2.zlinalg import (
     IntMatrix,
+    LatticeBasis,
     direct_complement,
     is_unimodular_matrix,
+    kernel_rows,
     kernel_summand_basis,
 )
 
@@ -169,6 +171,23 @@ class TestLatticeCorpus:
             form = inv.canonicalize_involution(f)
             assert list(form.block_type()) == case["type"]
             assert form.basis.to_lists() == case["basis"]
+
+    def test_read_off_bases_pass_validation(self):
+        """Slow oracle for the bases zlinalg builds unchecked: each kernel and
+        complement passes the validating constructor unchanged."""
+        involutions = [IntMatrix(case["f"]) for case in self.corpus["involutions"]]
+        pairs = [(IntMatrix(case["f"]), IntMatrix(case["g"])) for case in self.corpus["pairs"]]
+        bases = []
+        for f in involutions + [m for pair in pairs for m in pair]:
+            identity = IntMatrix.identity(f.n)
+            bases += [kernel_summand_basis(f - identity), kernel_summand_basis(f + identity)]
+        for f, g in pairs:
+            identity = IntMatrix.identity(f.n)
+            halves = [((m - identity).to_lists(), (m + identity).to_lists()) for m in (f, g)]
+            bases += [kernel_rows(top + bottom) for top in halves[0] for bottom in halves[1]]
+        bases += [direct_complement(b) for b in bases]
+        for basis in bases:
+            assert LatticeBasis(basis.rank, basis.vectors) == basis
 
     def test_script_refuses_to_overwrite(self, tmp_path):
         import make_kernel_corpus

@@ -15,8 +15,10 @@ from freenil2.zlinalg import (
     inverse_unimodular,
     is_unimodular_matrix,
     is_unimodular_vector,
+    kernel_rows,
     kernel_summand_basis,
     smith_decompose,
+    summand_frame,
 )
 
 
@@ -148,6 +150,17 @@ class TestKernel:
             combined = list(k.vectors) + list(c.vectors)
             assert abs(IntMatrix.from_columns(combined).det()) == 1
 
+    def test_wide_row_lists(self):
+        # fewer rows than columns: the columns of V past the last row of D
+        # are in the kernel too
+        rows = [[1, 2, 3]]
+        k = kernel_rows(rows)
+        assert len(k) == 2
+        for vec in k.vectors:
+            assert sum(a * x for a, x in zip(rows[0], vec)) == 0
+        assert LatticeBasis(3, k.vectors) == k
+        assert kernel_rows([[0, 0, 0], [0, 0, 0]]).vectors == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
 
 def cofactor_det(rows):
     """Determinant by cofactor expansion along the first row."""
@@ -207,6 +220,45 @@ class TestComplement:
     def test_dependent_vectors_rejected(self):
         with pytest.raises(ValueError):
             LatticeBasis(2, [(1, 1), (2, 2)])
+
+
+@st.composite
+def summand_columns(draw):
+    """(n, A): the first k columns of a unimodular matrix built from
+    elementary column operations and sign changes, as an n x k row list."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=12)):
+        if i != j:
+            for row in m:
+                row[i] += c * row[j]
+    for j, flip in enumerate(draw(st.lists(st.booleans(), min_size=n, max_size=n))):
+        if flip:
+            for row in m:
+                row[j] = -row[j]
+    return n, [row[:k] for row in m]
+
+
+class TestSummandFrame:
+    @given(summand_columns())
+    @settings(max_examples=200, deadline=None)
+    def test_completes_and_inverts(self, case):
+        n, a = case
+        complement, rows = summand_frame(a)
+        frame = [list(r) + [c[i] for c in complement] for i, r in enumerate(a)]
+        assert cofactor_det(frame) in (1, -1)
+        assert [[sum(x * frame[t][j] for t, x in enumerate(row)) for j in range(n)]
+                for row in rows] == [[int(i == j) for j in range(n)] for i in range(n)]
+        vectors = [tuple(r[j] for r in a) for j in range(len(a[0]))]
+        assert complement == list(direct_complement(LatticeBasis(n, vectors)).vectors)
+
+    def test_rejects_non_summands(self):
+        with pytest.raises(NotASummand):
+            summand_frame([[2], [0]])
+        with pytest.raises(ValueError):
+            summand_frame([[1, 2], [1, 2]])
 
 
 class TestUnimodular:
