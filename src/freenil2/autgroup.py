@@ -29,8 +29,8 @@ from .errors import (
     NotUnimodular,
     RankMismatch,
 )
-from .nilcore import Element, commutator, pair_index, pair_list
-from .zlinalg import IntMatrix, inverse_unimodular, is_unimodular_matrix
+from .nilcore import Element, commutator, pair_count, pair_index, pair_list
+from .zlinalg import IntMatrix, int_entries, inverse_unimodular, is_unimodular_matrix
 
 
 class InvolutionKind(enum.Enum):
@@ -212,11 +212,23 @@ def ia_offsets(sigma: Automorphism) -> list[tuple[int, ...]]:
 def ia_from_offsets(rank: int, offsets) -> Automorphism:
     """IA automorphism with the given central offset per generator image:
     image i is (e_i, offset_i), equal to x_i * central(offset_i) since the
-    cross term with a central factor is zero."""
-    return Automorphism(
-        [Element(rank, Element.generator(rank, i).abelian, off)
-         for i, off in enumerate(offsets, start=1)]
-    )
+    cross term with a central factor is zero.  Its abelianization is I, so
+    only the offsets are checked, in order: the index of each, its integer
+    entries (None is the zero offset) and its length, then their count."""
+    width = pair_count(rank)
+    images = []
+    for i, off in enumerate(offsets):
+        if i >= rank:
+            raise IndexOutOfRank(f"generator index {i + 1} outside 1..{rank}")
+        comm = (0,) * width if off is None else int_entries(off)
+        if len(comm) != width:
+            raise ValueError(f"comm part must have length {width}")
+        images.append(Element.trusted(rank, tuple(int(k == i) for k in range(rank)), comm))
+    if not images:
+        raise InvalidAutomorphism("no generator images")
+    if len(images) != rank:
+        raise InvalidAutomorphism(f"expected {rank} images, got {len(images)}")
+    return Automorphism._trusted(tuple(images))
 
 
 def invert(sigma: Automorphism) -> Automorphism:

@@ -1,12 +1,14 @@
 """Exact integer-lattice linear algebra on Z^n.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
-rounds or wraps.  One normal-form engine (the Smith decomposition) drives the
-lattice operations: the independence and summand tests of a ``LatticeBasis``,
-saturated kernels, direct complements and unimodular inverses are all read
-off from it.  One decomposition of a summand basis gives both a complement and
-coordinates on the completed basis (``summand_frame``), and a basis read off a
-decomposition is not decomposed again to validate it.  Determinants use
+rounds or wraps.  One normal-form engine (the Smith elimination U A V = D)
+drives the lattice operations: the independence and summand tests of a
+``LatticeBasis``, saturated kernels, direct complements and unimodular
+inverses are all read off from it.  The engine carries only the transforms
+its caller reads: the divisors alone for a ``LatticeBasis``, D and V for a
+kernel, and U, U^-1 and V together for ``summand_frame``, which gets both a
+complement and coordinates on the completed basis from one pass.  A basis read
+off a decomposition is not decomposed again to validate it.  Determinants use
 fraction-free (Bareiss) elimination.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
@@ -25,6 +27,11 @@ from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
 
 def int_entries(values) -> tuple[int, ...]:
     """Exact ints from ints, bools or decimal strings; a float is a ValueError, not truncated."""
+    if isinstance(values, (tuple, list)):  # re-iterable: try the all-integer path first
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
     try:
         return tuple(int(x) if isinstance(x, str) else operator.index(x) for x in values)
     except TypeError:
@@ -87,17 +94,22 @@ def _det_rows(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_rows(rows: list[list[int]]):
-    """Smith decomposition of an m x n integer matrix.
+def _eliminate(rows: list[list[int]], *, want_u=False, want_u_inv=False, want_v=False):
+    """The one Smith elimination of an m x n row list A: (D, U, U^-1, V) with
+    U A V = D, carrying only the transforms asked for (None for the others).
 
-    Returns (U, D, V) as row-lists with U (m x m) and V (n x n) unimodular,
-    U @ A @ V = D, D diagonal with nonnegative entries d1 | d2 | ...
+    U is a list of rows; U^-1 and V are lists of columns, so that a column
+    step on either is one list comprehension.  Each row step on U is the
+    inverse column step on U^-1 (Cohen, section 2.4).  The shortcuts below
+    skip arithmetic, never a step, so D and every transform are the same
+    whichever transforms are carried.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a = [list(r) for r in rows]
-    u = _identity_rows(m)
-    v = _identity_rows(n)
+    u = _identity_rows(m) if want_u else None
+    ui = _identity_rows(m) if want_u_inv else None
+    v = _identity_rows(n) if want_v else None
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -105,9 +117,10 @@ def smith_rows(rows: list[list[int]]):
         piv = None
         best = None
         for i in range(t, m):
+            row = a[i]
             for j in range(t, n):
-                val = a[i][j]
-                if val != 0 and (best is None or abs(val) < best):
+                val = row[j]
+                if val and (best is None or abs(val) < best):
                     best = abs(val)
                     piv = (i, j)
         if piv is None:
@@ -115,12 +128,15 @@ def smith_rows(rows: list[list[int]]):
         i0, j0 = piv
         if i0 != t:
             a[t], a[i0] = a[i0], a[t]
-            u[t], u[i0] = u[i0], u[t]
+            if u:
+                u[t], u[i0] = u[i0], u[t]
+            if ui:
+                ui[t], ui[i0] = ui[i0], ui[t]
         if j0 != t:
             for row in a:
                 row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
+            if v:
+                v[t], v[j0] = v[j0], v[t]
         while True:
             for i in range(m):
                 if i != t and a[i][t] != 0:
@@ -128,82 +144,113 @@ def smith_rows(rows: list[list[int]]):
                     if q % p == 0:
                         f = q // p
                         a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                        u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+                        if u:
+                            u[i] = [x - f * y for x, y in zip(u[i], u[t])]
+                        if ui:
+                            ui[t] = [x + f * y for x, y in zip(ui[t], ui[i])]
                     else:
                         g, x, y = _xgcd(p, q)
                         pp, qq = p // g, q // g
-                        at, ai = a[t], a[i]
-                        for k in range(n):
-                            rt, ri = at[k], ai[k]
-                            at[k] = x * rt + y * ri
-                            ai[k] = -qq * rt + pp * ri
-                        ut, ui = u[t], u[i]
-                        for k in range(m):
-                            rt, ri = ut[k], ui[k]
-                            ut[k] = x * rt + y * ri
-                            ui[k] = -qq * rt + pp * ri
+                        rt, ri = a[t], a[i]
+                        a[t] = [x * s + y * r for s, r in zip(rt, ri)]
+                        a[i] = [pp * r - qq * s for s, r in zip(rt, ri)]
+                        if u:
+                            rt, ri = u[t], u[i]
+                            u[t] = [x * s + y * r for s, r in zip(rt, ri)]
+                            u[i] = [pp * r - qq * s for s, r in zip(rt, ri)]
+                        if ui:
+                            ct, ci = ui[t], ui[i]
+                            ui[t] = [pp * s + qq * r for s, r in zip(ct, ci)]
+                            ui[i] = [x * r - y * s for s, r in zip(ct, ci)]
+            # column t is now zero off the pivot row, so until an extended-gcd
+            # step refills it a divisible column step changes only a[t][j]
+            refilled = False
             for j in range(n):
                 if j != t and a[t][j] != 0:
                     p, q = a[t][t], a[t][j]
                     if q % p == 0:
                         f = q // p
-                        for row in a:
-                            row[j] -= f * row[t]
-                        for row in v:
-                            row[j] -= f * row[t]
+                        if refilled:
+                            for row in a:
+                                row[j] -= f * row[t]
+                        else:
+                            a[t][j] = 0
+                        if v:
+                            v[j] = [x - f * y for x, y in zip(v[j], v[t])]
                     else:
                         g, x, y = _xgcd(p, q)
                         pp, qq = p // g, q // g
                         for row in a:
                             ct, cj = row[t], row[j]
                             row[t] = x * ct + y * cj
-                            row[j] = -qq * ct + pp * cj
-                        for row in v:
-                            ct, cj = row[t], row[j]
-                            row[t] = x * ct + y * cj
-                            row[j] = -qq * ct + pp * cj
-            col_clear = all(a[i][t] == 0 for i in range(m) if i != t)
-            row_clear = all(a[t][j] == 0 for j in range(n) if j != t)
-            if col_clear and row_clear:
+                            row[j] = pp * cj - qq * ct
+                        if v:
+                            ct, cj = v[t], v[j]
+                            v[t] = [x * s + y * r for s, r in zip(ct, cj)]
+                            v[j] = [pp * r - qq * s for s, r in zip(ct, cj)]
+                        refilled = True
+            # the column pass always clears row t
+            if not refilled or all(a[i][t] == 0 for i in range(m) if i != t):
                 break
-        # divisibility chain: pivot must divide the whole trailing block
+        # divisibility chain: pivot must divide the whole trailing block;
+        # a pivot of +-1 divides everything
         d = a[t][t]
         offender = None
-        for i in range(t + 1, m):
-            if any(a[i][j] % d != 0 for j in range(t + 1, n)):
-                offender = i
-                break
+        if d != 1 and d != -1:
+            for i in range(t + 1, m):
+                if any(x % d for x in a[i][t + 1:]):
+                    offender = i
+                    break
         if offender is not None:
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            if u:
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            if ui:
+                ui[offender] = [x - y for x, y in zip(ui[offender], ui[t])]
             continue
         t += 1
     for k in range(limit):
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    return u, a, v
+            if u:
+                u[k] = [-x for x in u[k]]
+            if ui:
+                ui[k] = [-x for x in ui[k]]
+    return a, u, ui, v
+
+
+def smith_rows(rows: list[list[int]]):
+    """Smith decomposition of an m x n integer matrix.
+
+    Returns (U, D, V) as row-lists with U (m x m) and V (n x n) unimodular,
+    U @ A @ V = D, D diagonal with nonnegative entries d1 | d2 | ...
+    """
+    d, u, _, v = _eliminate(rows, want_u=True, want_v=True)
+    return u, d, [list(r) for r in zip(*v)]
 
 
 def unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
-    u, d, v = smith_rows(rows)
+    d, u, _, v = _eliminate(rows, want_u=True, want_v=True)
     n = len(rows)
     if any(d[i][i] != 1 for i in range(n)):
         raise NotUnimodular(f"matrix has elementary divisors {[d[i][i] for i in range(n)]}")
-    return mul_rows(v, u)
+    return mul_rows(list(zip(*v)), u)
 
 
-def _summand_decomposition(columns: list[list[int]]):
-    """(U, V) with U A V = [I; 0] for the n x k columns A of a summand basis.
-    Dependent columns (a zero divisor, or k > n) are a ``ValueError``; any
-    other divisor than 1 means their span is not a summand (``NotASummand``)."""
-    u, d, v = smith_rows(columns)
-    divisors = [d[i][i] for i in range(min(len(u), len(v)))]
-    if len(v) > len(u) or 0 in divisors:
+def _summand_decomposition(columns: list[list[int]], **wants):
+    """(U, U^-1, V), as ``_eliminate`` carries them, with U A V = [I; 0] for
+    the n x k columns A of a summand basis.  Dependent columns (a zero
+    divisor, or k > n) are a ``ValueError``; any other divisor than 1 means
+    their span is not a summand (``NotASummand``)."""
+    d, *transforms = _eliminate(columns, **wants)
+    n = len(columns)
+    k = len(columns[0]) if n else 0
+    divisors = [d[i][i] for i in range(min(n, k))]
+    if k > n or 0 in divisors:
         raise ValueError("vectors are not linearly independent")
     if any(di != 1 for di in divisors):
         raise NotASummand(f"elementary divisors {divisors} are not all 1")
-    return u, v
+    return transforms
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +376,7 @@ class LatticeBasis:
             raise ValueError("vector length does not match ambient rank")
         if len(vectors) > rank:
             raise ValueError("more vectors than the ambient rank")
-        _summand_decomposition([[v[i] for v in vectors] for i in range(rank)])
+        _summand_decomposition([[v[i] for v in vectors] for i in range(rank)])  # divisors only
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "vectors", vectors)
 
@@ -358,15 +405,14 @@ def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def kernel_rows(rows: list[list[int]]) -> LatticeBasis:
     """Basis of the kernel of an m x n row list, read off its Smith
-    decomposition U A V = D: the columns j of V with D e_j = 0, that is over a
-    zero divisor or, when m < n, past the last row.
+    decomposition U A V = D, which needs no U: the columns j of V with
+    D e_j = 0, that is over a zero divisor or, when m < n, past the last row.
 
     The kernel is automatically a saturated direct summand of Z^n.
     """
-    _, d, v = smith_rows(rows)
-    n = len(v)
+    d, _, _, v = _eliminate(rows, want_v=True)
     return LatticeBasis._trusted(
-        n, [tuple(row[j] for row in v) for j in range(n) if j >= len(d) or d[j][j] == 0])
+        len(v), [tuple(col) for j, col in enumerate(v) if j >= len(d) or d[j][j] == 0])
 
 
 def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
@@ -380,16 +426,16 @@ def kernel_summand_basis(m: IntMatrix) -> LatticeBasis:
 def summand_frame(columns: list[list[int]]):
     """(C, rows of [A | C]^-1) for the n x k columns A of a summand basis.
 
-    One Smith decomposition U A V = [I; 0] gives both: the columns C that
-    complete A to a basis of Z^n are the last n - k columns of U^-1, and
-    [A | C]^-1 = diag(V, I) U takes a vector to its coordinates on A, then C.
+    One Smith elimination U A V = [I; 0], carrying U^-1 alongside U, gives
+    both: the columns C that complete A to a basis of Z^n are the last n - k
+    columns of U^-1, and [A | C]^-1 = diag(V, I) U takes a vector to its
+    coordinates on A, then C.
     Raises as ``LatticeBasis`` does when A is not a summand basis.
     """
-    u, v = _summand_decomposition(columns)
+    u, u_inv, v = _summand_decomposition(columns, want_u=True, want_u_inv=True, want_v=True)
     k = len(v)
-    u_inv = unimodular_inverse_rows(u)
-    complement = [tuple(row[j] for row in u_inv) for j in range(k, len(u))]
-    return complement, mul_rows(v, u[:k]) + u[k:]
+    complement = [tuple(col) for col in u_inv[k:]]
+    return complement, mul_rows(list(zip(*v)), u[:k]) + u[k:]
 
 
 def direct_complement(basis: LatticeBasis) -> LatticeBasis:

@@ -98,6 +98,13 @@ def random_basis_set(rng, n):
     return [ag.conjugation(Element(n, col, random_element(rng, n).comm)) for col in columns]
 
 
+def ia_from_offsets_by_products(rank, offsets):
+    """Oracle for ia_from_offsets: image i is the product x_i * central(offset_i),
+    validated by the Automorphism constructor."""
+    return Automorphism([Element.generator(rank, i) * Element.central(rank, off)
+                         for i, off in enumerate(offsets, start=1)])
+
+
 def plain_ints(g):
     return (type(g.abelian) is tuple and type(g.comm) is tuple
             and all(type(x) is int for x in g.abelian + g.comm))
@@ -136,6 +143,49 @@ class TestConstruction:
         alpha = ag.ia_from_offsets(2, [("3",), (True,)])
         assert [img.comm for img in alpha.images] == [(3,), (1,)]
         assert all(plain_ints(img) for img in alpha.images)
+
+    def test_ia_from_offsets_first_error(self):
+        # inputs with several faults raise for the first offset that has
+        # one, in the order index, entries, length, and the count last
+        cases = [
+            ((2, [(1, 2), (3,), (4,)]), ValueError, "comm part must have length 1"),
+            ((1, [(), ("x",)]), IndexOutOfRank, "generator index 2 outside 1..1"),
+            ((2, [(1.5,)]), ValueError, "expected integers or decimal strings, got (1.5,)"),
+            ((2, [(0,), (1, 2), "x"]), ValueError, "comm part must have length 1"),
+            ((3, [(0, 0, 0), 5]), ValueError, "expected integers or decimal strings, got 5"),
+            ((0, [()]), IndexOutOfRank, "generator index 1 outside 1..0"),
+            ((0, []), InvalidAutomorphism, "no generator images"),
+        ]
+        for args, error, message in cases:
+            with pytest.raises(error) as exc:
+                ag.ia_from_offsets(*args)
+            assert exc.type is error and str(exc.value) == message
+        alpha = ag.ia_from_offsets(2, ["7", None])
+        assert [img.comm for img in alpha.images] == [(7,), (0,)]
+
+    def test_ia_from_offsets_matches_products(self):
+        rng = random.Random(31)
+        faults = [None, (1.5,), ("x",), (), 7, "5", (True,)]
+        for _ in range(400):
+            rank = rng.randint(0, 5)
+            width = pair_count(rank)
+            offsets = [tuple(rng.randint(-10**6, 10**6) for _ in range(width))
+                       for _ in range(rank + rng.choice((-1, 0, 0, 0, 1)))]
+            if offsets and rng.random() < 0.3:
+                offsets[rng.randrange(len(offsets))] = rng.choice(faults)
+            outcomes = []
+            for build in (ag.ia_from_offsets, ia_from_offsets_by_products):
+                try:
+                    outcomes.append(build(rank, offsets))
+                except FreeNil2Error as exc:
+                    outcomes.append((type(exc), str(exc)))
+                except ValueError as exc:
+                    outcomes.append((ValueError, str(exc)))
+            got, expected = outcomes
+            assert got == expected
+            if isinstance(got, Automorphism):
+                assert hash(got) == hash(expected) and got.rank == rank
+                assert all(plain_ints(img) for img in got.images)
 
     def test_float_offsets_rejected(self):
         # int() would truncate 1.5 to 1 and give x1 -> x1*[x1,x2]

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from math import gcd
 
@@ -12,14 +13,19 @@ from freenil2.zlinalg import (
     LatticeBasis,
     decompose_into_unimodular,
     direct_complement,
+    int_entries,
     inverse_unimodular,
     is_unimodular_matrix,
     is_unimodular_vector,
     kernel_rows,
     kernel_summand_basis,
+    mul_rows,
     smith_decompose,
+    smith_rows,
     summand_frame,
+    unimodular_inverse_rows,
 )
+from smith_reference import smith_rows_reference
 
 
 def minors_gcd(rows, k):
@@ -114,6 +120,24 @@ class TestIntegerEntries:
         assert m == IntMatrix([[2, 1], [0, 1]])
         assert all(type(x) is int for row in m.rows for x in row)
         assert LatticeBasis(2, [("1", False)]).vectors == ((1, 0),)
+
+    @given(st.lists(st.one_of(st.integers(-10**20, 10**20), st.booleans(),
+                              st.integers(-999, 999).map(str),
+                              st.sampled_from(("x", "", 1.0, 2.5, None))), max_size=6),
+           st.sampled_from((list, tuple, iter)))
+    @settings(max_examples=300, deadline=None)
+    def test_all_integer_path_agrees_with_per_entry_path(self, values, container):
+        # int_entries tries tuple(map(operator.index, ...)) on a list or a
+        # tuple first; the per-entry conversion must give the same result
+        # or the same ValueError, also for a one-shot iterator
+        try:
+            expected = tuple(int(x) if isinstance(x, str) else operator.index(x) for x in values)
+        except (TypeError, ValueError):
+            with pytest.raises(ValueError):
+                int_entries(container(values))
+        else:
+            got = int_entries(container(values))
+            assert got == expected and all(type(x) is int for x in got)
 
 
 class TestKernel:
@@ -345,3 +369,45 @@ class TestDecompose:
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
             decompose_into_unimodular((5,))
+
+
+@st.composite
+def engine_inputs(draw):
+    """m x n row lists with m, n <= 8, square or not: mostly zeros and units
+    (so pivots of -1 occur), with entries of up to six digits."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.sampled_from((-1, 1)), st.integers(-999_999, 999_999))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+class TestEngineOracle:
+    """The Smith engine, which carries only the transforms its caller reads,
+    against the elimination that always carries U and V in full
+    (tests/smith_reference.py)."""
+
+    @given(engine_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, rows):
+        u, d, v = smith_rows_reference(rows)
+        assert smith_rows(rows) == (u, d, v)
+        m, n = len(rows), len(rows[0])
+        assert kernel_rows(rows).vectors == tuple(
+            tuple(r[j] for r in v) for j in range(n) if j >= m or d[j][j] == 0)
+        self.check_frame(rows)
+        # the first columns of a unimodular matrix always span a summand
+        self.check_frame([r[:min(m, n)] for r in unimodular_inverse_rows(u)])
+
+    @staticmethod
+    def check_frame(a):
+        """summand_frame against the reference U and V: the complement is the
+        last columns of U^-1, the coordinate rows are diag(V, I) U."""
+        u, d, v = smith_rows_reference(a)
+        n, k = len(a), len(a[0])
+        if k > n or any(d[i][i] != 1 for i in range(k)):
+            with pytest.raises((ValueError, NotASummand)):
+                summand_frame(a)
+            return
+        complement, rows = summand_frame(a)
+        u_inv = unimodular_inverse_rows(u)
+        assert complement == [tuple(r[j] for r in u_inv) for j in range(k, n)]
+        assert rows == mul_rows(v, u[:k]) + u[k:]
