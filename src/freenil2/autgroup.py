@@ -308,14 +308,14 @@ def classify_involution(sigma: Automorphism) -> InvolutionKind:
     the induced matrix is an integrally diagonalizable involution negating a
     rank-1 summand.
     """
-    from .involutions import plus_minus
+    from .involutions import involution_block_type
 
     if _abelianizes_to_scalar(sigma, -1):
         return InvolutionKind.SYMMETRY_MOD_IA
     if not compose(sigma, sigma).is_identity():
         return InvolutionKind.NOT_INVOLUTION
-    pm = plus_minus(abelianize(sigma))
-    if pm.defect == 0 and len(pm.minus) == 1:
+    _, m, s = involution_block_type(abelianize(sigma))
+    if s == 0 and m == 1:
         return InvolutionKind.EXTREMAL_MOD_IA
     return InvolutionKind.OTHER_INVOLUTION
 

@@ -6,6 +6,11 @@ but their direct sum can sit in Z^n with index 2^s > 1.  That defect s is a
 conjugacy invariant; it vanishes exactly when F is diagonalizable over Z, and
 in general F admits a basis on which it acts by fixing vectors, negating
 vectors, and swapping pairs - the canonical form computed here.
+
+The counts (p, m, s) of fixed, negated and swapped blocks are read off the
+Smith form of F - I alone, which is conjugate to that of the block sum:
+diag(1^s, 2^m, 0^(p+s)).  ``plus_minus`` computes the eigenlattice bases
+themselves and is the independent route to the same counts.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import (
     CanonicalizationPostconditionFailed,
     NotDiagonalizable,
     NotInvolution,
+    NotUnimodular,
     OddNegativeRank,
 )
 from .report import ProbeResult
@@ -30,6 +36,7 @@ from .zlinalg import (
     inverse_unimodular,
     kernel_rows,
     kernel_summand_basis,
+    smith_divisors,
     summand_frame,
 )
 
@@ -118,9 +125,22 @@ def plus_minus(f: IntMatrix) -> PlusMinusPair:
     return PlusMinusPair(plus, minus, s)
 
 
+def involution_block_type(f: IntMatrix) -> tuple[int, int, int]:
+    """The counts (p, m, s) of fixed, negated and swapped blocks of an
+    involution, from the Smith divisors of F - I: s ones, m twos and p + s
+    zeros.  The defect is s, and rank A+ = p + s, rank A- = m + s."""
+    _require_involution(f)
+    divisors = smith_divisors((f - IntMatrix.identity(f.n)).rows)
+    s, m = divisors.count(1), divisors.count(2)
+    p = divisors.count(0) - s
+    if p < 0 or p + m + 2 * s != f.n:
+        raise CanonicalizationPostconditionFailed(f"F - I has divisors {divisors}")
+    return p, m, s
+
+
 def defect(f: IntMatrix) -> int:
     """log2 of the index of A+ (+) A- in Z^n; 0 iff diagonalizable over Z."""
-    return plus_minus(f).defect
+    return involution_block_type(f)[2]
 
 
 def is_diagonalizable(f: IntMatrix) -> bool:
@@ -129,10 +149,10 @@ def is_diagonalizable(f: IntMatrix) -> bool:
 
 def min_plus_minus_rank(f: IntMatrix) -> int:
     """min(rank A+, rank A-) of a diagonalizable involution."""
-    pm = plus_minus(f)
-    if pm.defect != 0:
+    p, m, s = involution_block_type(f)
+    if s != 0:
         raise NotDiagonalizable("involution has nonzero defect")
-    return min(len(pm.plus), len(pm.minus))
+    return min(p, m)
 
 
 def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
@@ -223,7 +243,7 @@ def commuting_decomposition(f: IntMatrix, g: IntMatrix):
     basis of Z^n (combined determinant +-1) exactly when f and g commute.
     """
     for m in (f, g):
-        if plus_minus(m).defect != 0:
+        if involution_block_type(m)[2] != 0:
             raise NotDiagonalizable("both involutions must be diagonalizable")
     identity = IntMatrix.identity(f.n)
     # kernels of the stacked matrices [f -+ I; g -+ I] in the order
@@ -244,17 +264,23 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
     """A matrix H with H^2 = F, for diagonalizable F with even negated rank.
 
     H is the identity on the fixed part and a quarter-turn on each pair of
-    negated basis vectors, conjugated back to the standard basis.
+    negated basis vectors, conjugated back to the standard basis [P | N] of
+    the two eigenlattices.  That basis is unimodular exactly when the defect
+    is 0, so its one inverse is also the diagonalizability test.
     """
-    pm = plus_minus(f)
-    if pm.defect != 0:
-        raise NotDiagonalizable("involution has nonzero defect")
-    m = len(pm.minus)
+    _require_involution(f)
+    n = f.n
+    identity = IntMatrix.identity(n)
+    plus = kernel_summand_basis(f - identity).vectors
+    minus = kernel_summand_basis(f + identity).vectors
+    basis = IntMatrix.from_columns(plus + minus)
+    try:
+        basis_inv = inverse_unimodular(basis)
+    except NotUnimodular:
+        raise NotDiagonalizable("involution has nonzero defect") from None
+    p, m = len(plus), len(minus)
     if m % 2 != 0:
         raise OddNegativeRank(f"negated rank {m} is odd")
-    n = f.n
-    p = len(pm.plus)
-    basis = IntMatrix.from_columns(list(pm.plus.vectors) + list(pm.minus.vectors))
     block = [[0] * n for _ in range(n)]
     for i in range(p):
         block[i][i] = 1
@@ -262,7 +288,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
         a = p + 2 * t
         block[a + 1][a] = 1
         block[a][a + 1] = -1
-    h = basis * IntMatrix(block) * inverse_unimodular(basis)
+    h = basis * IntMatrix(block) * basis_inv
     if not (h * h) == f:
         raise CanonicalizationPostconditionFailed("square root construction failed")
     return h

@@ -268,6 +268,10 @@ def check_canonical_involution_form(rank: int, trials: int, seed: int) -> CheckR
         if form.block_type() != expected:
             return _fail(name, t, matrix=f.to_lists(), got=form.block_type(),
                          expected=expected)
+        divisor_type = involutions.involution_block_type(f)
+        if divisor_type != expected:
+            return _fail(name, t, matrix=f.to_lists(), law="smith_divisors",
+                         got=divisor_type, expected=expected)
     return CheckResult(name, "pass", trials)
 
 
@@ -491,7 +495,7 @@ def check_sqrt_construction(rank: int, trials: int, seed: int) -> CheckResult:
         rng = _trial_rng(seed, name, rank, t)
         while True:
             f = random_involution_matrix(rng, rank, diagonalizable=True)
-            if len(involutions.plus_minus(f).minus) % 2 == 0:
+            if involutions.involution_block_type(f)[1] % 2 == 0:
                 break
         h = involutions.sqrt_of_involution(f)
         if h * h != f or not is_unimodular_matrix(h):

@@ -3,12 +3,14 @@
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 rounds or wraps.  One normal-form engine (the Smith elimination U A V = D)
 drives the lattice operations: the independence and summand tests of a
-``LatticeBasis``, saturated kernels, direct complements and unimodular
-inverses are all read off from it.  The engine carries only the transforms
-its caller reads: the divisors alone for a ``LatticeBasis``, D and V for a
-kernel, and U, U^-1 and V together for ``summand_frame``, which gets both a
-complement and coordinates on the completed basis from one pass.  A basis read
-off a decomposition is not decomposed again to validate it.  Determinants use
+``LatticeBasis``, the divisors of a matrix, saturated kernels, direct
+complements and unimodular inverses are all read off from it.  The engine
+carries only the transforms its caller reads: the divisors alone for a
+``LatticeBasis`` and for ``smith_divisors``, D and V for a kernel, and U, U^-1
+and V together for ``summand_frame``, which gets both a complement and
+coordinates on the completed basis from one pass.  A basis read off a
+decomposition is not decomposed again to validate it, and a matrix computed
+here from valid matrices is not validated again either.  Determinants use
 fraction-free (Bareiss) elimination.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
@@ -20,13 +22,19 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
 
 
 def int_entries(values) -> tuple[int, ...]:
-    """Exact ints from ints, bools or decimal strings; a float is a ValueError, not truncated."""
+    """Exact ints from ints, bools or decimal strings; a float is a ValueError, not truncated.
+
+    A string or bytes in place of the sequence is a ValueError too: it would
+    otherwise be split into digits."""
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"expected a sequence of integers, got {values!r}")
     if isinstance(values, (tuple, list)):  # re-iterable: try the all-integer path first
         try:
             return tuple(map(operator.index, values))
@@ -45,6 +53,11 @@ def int_entries(values) -> tuple[int, ...]:
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+@lru_cache(maxsize=64)
+def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _identity_rows(n)))
 
 
 def mul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -229,6 +242,13 @@ def smith_rows(rows: list[list[int]]):
     return u, d, [list(r) for r in zip(*v)]
 
 
+def smith_divisors(rows) -> list[int]:
+    """The diagonal d1 | d2 | ... of the Smith form of an m x n row list,
+    min(m, n) nonnegative entries, from one elimination with no transforms."""
+    d = _eliminate(rows)[0]
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
 def unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
     d, u, _, v = _eliminate(rows, want_u=True, want_v=True)
     n = len(rows)
@@ -276,12 +296,23 @@ class IntMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
+    @classmethod
+    def _trusted(cls, rows) -> "IntMatrix":
+        """Unchecked construction, for results computed in this module from
+        valid matrices: a nonempty square tuple of tuples of ints."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "rows", rows)
+        return self
+
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(_identity_rows(n))
+        if n < 1:
+            raise ValueError("matrix rank must be >= 1")
+        return cls._trusted(_identity_tuple(n))
 
     @classmethod
     def from_columns(cls, cols) -> "IntMatrix":
@@ -318,33 +349,41 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.n:
             raise ValueError("vector length does not match matrix rank")
-        return tuple(sum(row[j] * vec[j] for j in range(self.n)) for row in self.rows)
+        return tuple(sum(map(operator.mul, row, vec)) for row in self.rows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix ranks differ")
-        return IntMatrix(mul_rows(self.to_lists(), other.to_lists()))
+        cols = list(zip(*other.rows))
+        return IntMatrix._trusted(tuple(tuple(sum(map(operator.mul, r, c)) for c in cols)
+                                        for r in self.rows))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return IntMatrix([[x + y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        if self.n != other.n:
+            raise ValueError("matrix ranks differ")
+        return IntMatrix._trusted(tuple(tuple(map(operator.add, r, s))
+                                        for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return IntMatrix([[x - y for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        if self.n != other.n:
+            raise ValueError("matrix ranks differ")
+        return IntMatrix._trusted(tuple(tuple(map(operator.sub, r, s))
+                                        for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self.rows])
+        return IntMatrix._trusted(tuple(tuple(map(operator.neg, r)) for r in self.rows))
 
     def det(self) -> int:
         return _det_rows(self.to_lists())
 
     def is_identity(self) -> bool:
-        return all(self.rows[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
+        return self.rows == _identity_tuple(self.n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -399,8 +438,7 @@ class LatticeBasis:
 
 def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U, V unimodular, U*M*V = D diagonal, d1 | d2 | ..."""
-    u, d, v = smith_rows(m.to_lists())
-    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+    return tuple(IntMatrix._trusted(tuple(map(tuple, rows))) for rows in smith_rows(m.rows))
 
 
 def kernel_rows(rows: list[list[int]]) -> LatticeBasis:
@@ -462,7 +500,7 @@ def is_unimodular_matrix(m: IntMatrix) -> bool:
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a determinant +-1 matrix (integer entries)."""
-    return IntMatrix(unimodular_inverse_rows(m.to_lists()))
+    return IntMatrix._trusted(tuple(map(tuple, unimodular_inverse_rows(m.rows))))
 
 
 def decompose_into_unimodular(vec) -> list[tuple[int, ...]]:

@@ -160,7 +160,11 @@ class TestConstruction:
             with pytest.raises(error) as exc:
                 ag.ia_from_offsets(*args)
             assert exc.type is error and str(exc.value) == message
-        alpha = ag.ia_from_offsets(2, ["7", None])
+
+    def test_string_offset_is_not_split_into_digits(self):
+        with pytest.raises(ValueError, match="expected a sequence of integers, got '7'"):
+            ag.ia_from_offsets(2, ["7", None])
+        alpha = ag.ia_from_offsets(2, [["7"], None])
         assert [img.comm for img in alpha.images] == [(7,), (0,)]
 
     def test_ia_from_offsets_matches_products(self):

@@ -89,6 +89,68 @@ class TestPlusMinus:
             assert len(pm.plus) + len(pm.minus) == n
 
 
+def digits(f: IntMatrix) -> int:
+    return max(len(str(abs(x))) for row in f.rows for x in row)
+
+
+def block_involution(rng, n, swaps):
+    """F = E B E^-1 for a block sum B of a drawn type (p, m, s), with s > 0
+    when swaps and n >= 2, conjugated by transvections I + c e_ij until the
+    largest entry has a drawn number of digits, 1 to 6 (1 for B = +-I)."""
+    s = rng.randint(1, n // 2) if swaps and n >= 2 else 0
+    p = rng.randint(0, n - 2 * s)
+    m = n - 2 * s - p
+    block = [[0] * n for _ in range(n)]
+    for i in range(p):
+        block[i][i] = 1
+    for i in range(p, p + m):
+        block[i][i] = -1
+    for a in range(p + m, n, 2):
+        block[a][a + 1] = block[a + 1][a] = 1
+    target = 1 if n in (p, m) else rng.randint(1, 6)  # +-I is its only conjugate
+    f = [list(r) for r in block]
+    while digits(IntMatrix(f)) != target:
+        if digits(IntMatrix(f)) > target:
+            f = [list(r) for r in block]
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        f[i] = [x + c * y for x, y in zip(f[i], f[j])]  # E F
+        for row in f:  # (E F) E^-1
+            row[j] -= c * row[i]
+    return IntMatrix(f), (p, m, s)
+
+
+class TestBlockType:
+    """involution_block_type reads (p, m, s) off the Smith divisors of F - I;
+    plus_minus (eigenlattice kernels and a determinant) and the canonical
+    basis are the independent routes to the same triple."""
+
+    def test_examples(self):
+        assert inv.involution_block_type(IntMatrix.identity(3)) == (3, 0, 0)
+        assert inv.involution_block_type(-IntMatrix.identity(3)) == (0, 3, 0)
+        assert inv.involution_block_type(IntMatrix([[1]])) == (1, 0, 0)
+        assert inv.involution_block_type(IntMatrix([[-1]])) == (0, 1, 0)
+        assert inv.involution_block_type(IntMatrix([[0, 1], [1, 0]])) == (0, 0, 1)
+        assert inv.involution_block_type(IntMatrix([[2, 1], [-3, -2]])) == (0, 0, 1)
+        assert inv.involution_block_type(IntMatrix([[-1, 0], [2, 1]])) == (1, 1, 0)
+        with pytest.raises(NotInvolution):
+            inv.involution_block_type(IntMatrix([[1, 1], [0, 1]]))
+
+    def test_matches_eigenlattices_and_canonical_basis(self):
+        rng = random.Random(11)
+        seen_digits = set()
+        for n in range(1, 9):
+            for k in range(24):
+                f, built = block_involution(rng, n, swaps=k % 2 == 1)
+                seen_digits.add(digits(f))
+                pm = inv.plus_minus(f)
+                s = pm.defect
+                assert inv.involution_block_type(f) == built
+                assert built == (len(pm.plus) - s, len(pm.minus) - s, s)
+                assert built == inv.canonicalize_involution(f).block_type()
+        assert seen_digits == {1, 2, 3, 4, 5, 6}
+
+
 class TestDefect:
     def test_examples(self):
         assert inv.defect(IntMatrix([[1, 0], [0, -1]])) == 0

@@ -151,6 +151,13 @@ class TestConstruction:
         assert all(type(x) is int for x in g.abelian + g.comm)
         with pytest.raises(ValueError):
             Element(2, ["1.5", 0])
+        assert Element(2, ["12", "-3"]).abelian == (12, -3)
+
+    def test_string_in_place_of_a_sequence_rejected(self):
+        # "123" would otherwise be the abelian part (1, 2, 3)
+        for rank, abelian, comm in ((3, "123", None), (2, "-1", None), (3, (0, 0, 0), "000")):
+            with pytest.raises(ValueError, match="expected a sequence of integers"):
+                Element(rank, abelian, comm)
 
 
 class TestInverse:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freenil2.errors import NotASummand, NotUnimodular, ZeroVector
+from freenil2.sampling import random_unimodular_word
 from freenil2.zlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -21,6 +22,7 @@ from freenil2.zlinalg import (
     kernel_summand_basis,
     mul_rows,
     smith_decompose,
+    smith_divisors,
     smith_rows,
     summand_frame,
     unimodular_inverse_rows,
@@ -83,6 +85,41 @@ class TestSmith:
                 assert abs(prod) == minors_gcd(m.to_lists(), k)
 
 
+class TestSmithDivisors:
+    def test_examples(self):
+        assert smith_divisors([[2, 0], [0, 3]]) == [1, 6]
+        assert smith_divisors([[0, 0], [0, 0]]) == [0, 0]
+        assert smith_divisors([[2, 4, 6]]) == [2]
+        assert smith_divisors([[3], [6]]) == [3]
+
+
+class TestTrustedResults:
+    """Results built unchecked inside zlinalg equal the validated
+    construction from the same rows: square tuples of tuples of ints."""
+
+    def test_equal_validated_construction(self):
+        rng = random.Random(9)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a, a_inv = random_unimodular_word(rng, n, 8)
+            b = random_matrix(rng, n)
+            results = [a * b, a + b, a - b, -b, IntMatrix.identity(n),
+                       inverse_unimodular(a), *smith_decompose(b)]
+            for r in results:
+                assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
+                assert all(type(x) is int for row in r.rows for x in row)
+                assert r == IntMatrix(r.rows) and hash(r) == hash(IntMatrix(r.rows))
+                assert r.n == n
+            assert inverse_unimodular(a) == a_inv
+
+    def test_identity_and_ranks_checked(self):
+        with pytest.raises(ValueError):
+            IntMatrix.identity(0)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="matrix ranks differ"):
+                op(IntMatrix.identity(2), IntMatrix.identity(3))
+
+
 class TestMatrixJson:
     def test_plain_rows(self):
         m = IntMatrix.from_json("[[1, 2], [3, 4]]")
@@ -120,6 +157,19 @@ class TestIntegerEntries:
         assert m == IntMatrix([[2, 1], [0, 1]])
         assert all(type(x) is int for row in m.rows for x in row)
         assert LatticeBasis(2, [("1", False)]).vectors == ((1, 0),)
+        assert int_entries(["12", "-3"]) == (12, -3)
+        assert IntMatrix([["12", "-3"], ["0", "1"]]).rows == ((12, -3), (0, 1))
+
+    def test_string_in_place_of_a_sequence_rejected(self):
+        # a string is iterable, so each would otherwise be split into digits:
+        # ["10", "01"] would be the identity matrix
+        for values in ("123", "-1", b"12", ""):
+            with pytest.raises(ValueError, match="expected a sequence of integers"):
+                int_entries(values)
+        with pytest.raises(ValueError):
+            IntMatrix(["10", "01"])
+        with pytest.raises(ValueError):
+            LatticeBasis(2, ["10"])
 
     @given(st.lists(st.one_of(st.integers(-10**20, 10**20), st.booleans(),
                               st.integers(-999, 999).map(str),
@@ -393,6 +443,7 @@ class TestEngineOracle:
         m, n = len(rows), len(rows[0])
         assert kernel_rows(rows).vectors == tuple(
             tuple(r[j] for r in v) for j in range(n) if j >= m or d[j][j] == 0)
+        assert smith_divisors(rows) == [d[i][i] for i in range(min(m, n))]
         self.check_frame(rows)
         # the first columns of a unimodular matrix always span a summand
         self.check_frame([r[:min(m, n)] for r in unimodular_inverse_rows(u)])
