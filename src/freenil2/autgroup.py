@@ -10,9 +10,10 @@ the commutator subgroup pointwise and are determined by the central offsets
 of their generator images, which makes the subgroup abelian and torsion-free
 and gives the witness-solving routine below.
 
-Application and composition are closed forms in the abelianization M, the
-central parts of the images and Lambda^2 M, the action of M on the
-commutator subgroup (the class-two case of the Hall polynomials).
+Application, composition and inversion are closed forms in the
+abelianization M (for inversion, M^-1), the central parts of the images and
+Lambda^2 M, the action of M on the commutator subgroup (the class-two case
+of the Hall polynomials).
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class Automorphism:
 
     @classmethod
     def _trusted(cls, images: tuple) -> "Automorphism":
-        """Unchecked construction, for the results of compose: a tuple of
-        images of one rank whose abelianization is unimodular by
+        """Unchecked construction, for images built in this module: a tuple
+        of images of one rank whose abelianization is unimodular by
         construction."""
         self = object.__new__(cls)
         object.__setattr__(self, "rank", len(images))
@@ -232,17 +233,22 @@ def ia_from_offsets(rank: int, offsets) -> Automorphism:
 
 
 def invert(sigma: Automorphism) -> Automorphism:
-    """Exact inverse.
+    """Exact inverse, in closed form.
 
-    Route through the abelianization: lift the inverse matrix, observe that
-    the mismatch sigma o lift is IA, and correct by its inverse, which
-    negates each central offset (IA automorphisms fix the centre
-    pointwise).  Both composes are closed forms, and only the lift and the
-    IA correction are validated.
+    With m_i = M^-1 e_i, sigma(m_i, 0) = (e_i, u_i), where u_i is the
+    central part of the power product of sigma's images over m_i.  As
+    (0, u_i) is central, sigma^-1(x_i) = (m_i, 0) * sigma^-1(0, -u_i) =
+    (m_i, -Lambda^2(M^-1) u_i).  Lambda^2(M^-1) is built once for all n
+    images; the result is an inverse by construction and is not validated.
     """
-    rho0 = lift(inverse_unimodular(abelianize(sigma)))
-    offsets = [tuple(-c for c in off) for off in ia_offsets(compose(sigma, rho0))]
-    return compose(rho0, ia_from_offsets(sigma.rank, offsets))
+    columns = [img.abelian for img in lift(inverse_unimodular(abelianize(sigma))).images]
+    wedge_rows = _lambda2(list(zip(*columns)))
+    out = []
+    for m in columns:
+        _, u = _power_product(sigma.images, m)
+        comm = tuple(-sum(map(mul, row, u)) for row in wedge_rows)
+        out.append(Element.trusted(sigma.rank, m, comm))
+    return Automorphism._trusted(tuple(out))
 
 
 def conjugation(a: Element) -> Automorphism:

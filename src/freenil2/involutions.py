@@ -27,6 +27,7 @@ from .errors import (
     NotInvolution,
     NotUnimodular,
     OddNegativeRank,
+    RankMismatch,
 )
 from .report import ProbeResult
 from .wordlang import format_automorphism
@@ -253,7 +254,10 @@ def commuting_decomposition(f: IntMatrix, g: IntMatrix):
 
 
 def is_direct_sum(bases, n: int) -> bool:
-    """Whether the concatenated bases form a basis of Z^n."""
+    """Whether the concatenated bases form a basis of Z^n; every basis must
+    lie in Z^n."""
+    if any(b.rank != n for b in bases):
+        raise RankMismatch(f"a basis does not lie in Z^{n}")
     vectors = [v for b in bases for v in b.vectors]
     if len(vectors) != n:
         return False

@@ -3,15 +3,16 @@
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 rounds or wraps.  One normal-form engine (the Smith elimination U A V = D)
 drives the lattice operations: the independence and summand tests of a
-``LatticeBasis``, the divisors of a matrix, saturated kernels, direct
-complements and unimodular inverses are all read off from it.  The engine
-carries only the transforms its caller reads: the divisors alone for a
-``LatticeBasis`` and for ``smith_divisors``, D and V for a kernel, and U, U^-1
-and V together for ``summand_frame``, which gets both a complement and
-coordinates on the completed basis from one pass.  A basis read off a
-decomposition is not decomposed again to validate it, and a matrix computed
-here from valid matrices is not validated again either.  Determinants use
-fraction-free (Bareiss) elimination.
+``LatticeBasis``, the divisors of a matrix, saturated kernels and direct
+complements are all read off from it.  The engine carries only the
+transforms its caller reads: the divisors alone for a ``LatticeBasis`` and
+for ``smith_divisors``, D and V for a kernel, and U, U^-1 and V together for
+``summand_frame``, which gets both a complement and coordinates on the
+completed basis from one pass.  A basis read off a decomposition is not
+decomposed again to validate it, and a matrix computed here from valid
+matrices is not validated again either.  Determinants and unimodular
+inverses, which need no Smith form, share one fraction-free (Bareiss)
+elimination.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
 standard basis vector.
@@ -80,10 +81,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def _det_rows(rows: list[list[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
+def _bareiss(a: list) -> int:
+    """Fraction-free (Bareiss) forward elimination, in place, of a list of n
+    rows whose first n columns are square; later columns are carried along.
+    Returns the determinant of that block: 0 as soon as a column has no
+    nonzero pivot candidate (a zero pivot is swapped with the first nonzero
+    entry below it), else +-a[n - 1][n - 1] of the upper-triangular result.
+    Every division is exact.  Rows are replaced, never mutated."""
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -95,14 +100,16 @@ def _det_rows(rows: list[list[int]]) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
+        # entries left of column k are zero in both rows, and column k cancels
         for i in range(k + 1, n):
             row_i = a[i]
-            row_k = a[k]
             head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+            if head:
+                a[i] = [(x * pivot - head * y) // prev for x, y in zip(row_i, row_k)]
+            elif pivot != prev:
+                a[i] = [x * pivot // prev for x in row_i]
         prev = pivot
     return sign * a[n - 1][n - 1]
 
@@ -249,14 +256,6 @@ def smith_divisors(rows) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def unimodular_inverse_rows(rows: list[list[int]]) -> list[list[int]]:
-    d, u, _, v = _eliminate(rows, want_u=True, want_v=True)
-    n = len(rows)
-    if any(d[i][i] != 1 for i in range(n)):
-        raise NotUnimodular(f"matrix has elementary divisors {[d[i][i] for i in range(n)]}")
-    return mul_rows(list(zip(*v)), u)
-
-
 def _summand_decomposition(columns: list[list[int]], **wants):
     """(U, U^-1, V), as ``_eliminate`` carries them, with U A V = [I; 0] for
     the n x k columns A of a summand basis.  Dependent columns (a zero
@@ -316,8 +315,14 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols) -> "IntMatrix":
-        cols = [tuple(c) for c in cols]
-        return cls([[col[i] for col in cols] for i in range(len(cols))])
+        """The matrix with the given columns, each checked once."""
+        cols = [int_entries(c) for c in cols]
+        n = len(cols)
+        if n < 1:
+            raise ValueError("matrix rank must be >= 1")
+        if any(len(c) != n for c in cols):
+            raise ValueError("matrix must be square")
+        return cls._trusted(tuple(zip(*cols)))
 
     @classmethod
     def from_json(cls, text: str) -> "IntMatrix":
@@ -380,7 +385,7 @@ class IntMatrix:
         return IntMatrix._trusted(tuple(tuple(map(operator.neg, r)) for r in self.rows))
 
     def det(self) -> int:
-        return _det_rows(self.to_lists())
+        return _bareiss(list(self.rows))
 
     def is_identity(self) -> bool:
         return self.rows == _identity_tuple(self.n)
@@ -499,8 +504,29 @@ def is_unimodular_matrix(m: IntMatrix) -> bool:
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a determinant +-1 matrix (integer entries)."""
-    return IntMatrix._trusted(tuple(map(tuple, unimodular_inverse_rows(m.rows))))
+    """Exact inverse of a determinant +-1 matrix (integer entries).
+
+    One fraction-free pass on [M | I] leaves [T | R] with T upper triangular
+    and T X = R exactly for X = M^-1, which back-substitution then solves
+    row by row from the bottom; each division is exact because X is
+    integral.  ``NotUnimodular`` when the determinant is not +-1.
+    """
+    n = m.n
+    a = [list(row) + e for row, e in zip(m.rows, _identity_rows(n))]
+    det = _bareiss(a)
+    if det not in (1, -1):
+        raise NotUnimodular(f"determinant {det} is not +-1")
+    x = [None] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        rhs = row[n:]
+        for j in range(k + 1, n):
+            f = row[j]
+            if f:
+                rhs = [r - f * y for r, y in zip(rhs, x[j])]
+        pivot = row[k]
+        x[k] = tuple(r // pivot for r in rhs)
+    return IntMatrix._trusted(tuple(x))
 
 
 def decompose_into_unimodular(vec) -> list[tuple[int, ...]]:

@@ -1,10 +1,17 @@
-"""Slow oracle for the Smith engine in ``freenil2.zlinalg``.
+"""Slow oracles for the Smith engine and the unimodular inverse in
+``freenil2.zlinalg``.
 
 ``smith_rows_reference`` is the elimination as it stood before the engine
 carried only the transforms its caller reads: it always tracks U and V as
 row lists and performs every row and column step in full.  The engine must
 reproduce its output exactly, since both take the same steps.
+
+``unimodular_inverse_rows_reference`` reads the inverse off that Smith
+decomposition, V U, as the library did before it inverted by fraction-free
+elimination; an inverse is unique, so both must agree exactly.
 """
+
+from freenil2.errors import NotUnimodular
 
 
 def _identity_rows(n):
@@ -122,3 +129,13 @@ def smith_rows_reference(rows):
             a[k] = [-x for x in a[k]]
             u[k] = [-x for x in u[k]]
     return u, a, v
+
+
+def unimodular_inverse_rows_reference(rows):
+    """Inverse of a square unimodular row list: U A V = I gives A^-1 = V U.
+    Any elementary divisor other than 1 is a ``NotUnimodular``."""
+    u, d, v = smith_rows_reference(rows)
+    n = len(rows)
+    if any(d[i][i] != 1 for i in range(n)):
+        raise NotUnimodular(f"matrix has elementary divisors {[d[i][i] for i in range(n)]}")
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in v]

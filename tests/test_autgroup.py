@@ -20,7 +20,8 @@ from freenil2.errors import (
 from freenil2.nilcore import Element, commutator, pair_count, pair_list
 from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
 from freenil2.wordlang import parse_element
-from freenil2.zlinalg import IntMatrix, inverse_unimodular
+from freenil2.zlinalg import IntMatrix
+from smith_reference import unimodular_inverse_rows_reference
 
 
 DATA = Path(__file__).parent / "data"
@@ -42,21 +43,14 @@ def apply_by_substitution(sigma, g):
     return out
 
 
-def invert_closed_form(sigma):
-    """Oracle for ``invert``: with m_i = M^-1 e_i, sigma(m_i, 0) = (e_i, u_i),
-    so sigma^-1(x_i) = (m_i, -Lambda^2(M^-1) u_i).  Column (p, q) of
-    Lambda^2 N is N e_p ^ N e_q."""
-    n = sigma.rank
-    inverse = inverse_unimodular(ag.abelianize(sigma))
-    cols = inverse.columns()
-    pairs = [(i - 1, j - 1) for i, j in pair_list(n)]
-    wedge = [[cols[p][i] * cols[q][j] - cols[p][j] * cols[q][i] for p, q in pairs]
-             for i, j in pairs]
-    images = []
-    for m in cols:
-        u = ag.apply(sigma, Element(n, m)).comm
-        images.append(Element(n, m, [-sum(x * y for x, y in zip(row, u)) for row in wedge]))
-    return Automorphism(images)
+def invert_by_lift_and_compose(sigma):
+    """Oracle for ``invert``: lift the inverse matrix, which the Smith
+    decomposition gives, observe that sigma o lift is IA, and correct by the
+    inverse of that IA automorphism, which negates each central offset."""
+    inverse = unimodular_inverse_rows_reference(ag.abelianize(sigma).to_lists())
+    rho0 = ag.lift(IntMatrix(inverse))
+    offsets = [tuple(-c for c in off) for off in ag.ia_offsets(ag.compose(sigma, rho0))]
+    return ag.compose(rho0, ag.ia_from_offsets(sigma.rank, offsets))
 
 
 def brute_force_witness(alpha, bound=3):
@@ -269,8 +263,8 @@ class TestComposeInvert:
 
 
 class TestClosedFormKernel:
-    """compose and invert against their oracles, at ranks 2-6 with entries
-    up to 10^6."""
+    """compose and invert against their oracles, with entries up to 10^6:
+    compose at ranks 2-6, invert at ranks 1-8."""
 
     def cases(self, seed, count=60):
         rng = random.Random(seed)
@@ -278,9 +272,15 @@ class TestClosedFormKernel:
             n = rng.randint(2, 6)
             yield rng, n, big_automorphism(rng, n)
 
-    def test_invert_matches_closed_form_oracle(self):
-        for _, _, sigma in self.cases(20):
-            assert ag.invert(sigma) == invert_closed_form(sigma)
+    def test_invert_matches_lift_and_compose(self):
+        rng = random.Random(20)
+        for n in range(1, 9):
+            for _ in range(12):
+                if n == 1:
+                    sigma = ag.lift(IntMatrix([[rng.choice((1, -1))]]))
+                else:
+                    sigma = big_automorphism(rng, n)
+                assert ag.invert(sigma) == invert_by_lift_and_compose(sigma)
 
     def test_compose_matches_substitution(self):
         for rng, n, sigma in self.cases(21):

@@ -12,6 +12,7 @@ from freenil2.errors import (
     NotDiagonalizable,
     NotInvolution,
     OddNegativeRank,
+    RankMismatch,
 )
 from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
 from freenil2.zlinalg import (
@@ -290,6 +291,13 @@ class TestCommutingDecomposition:
         assert f * g != g * f
         bases = inv.commuting_decomposition(f, g)
         assert not inv.is_direct_sum(bases, 2)
+
+    def test_bases_outside_the_rank_rejected(self):
+        # a rank-3 basis used to be truncated to its first two coordinates
+        with pytest.raises(RankMismatch):
+            inv.is_direct_sum([LatticeBasis(3, [(1, 0, 0), (0, 1, 5)])], 2)
+        with pytest.raises(RankMismatch):
+            inv.is_direct_sum([LatticeBasis(2, [(1, 0)]), LatticeBasis(1, [(1,)])], 2)
 
     def test_characterizes_commuting(self):
         rng = random.Random(3)

@@ -4,7 +4,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freenil2.errors import NotASummand, NotUnimodular, ZeroVector
@@ -25,9 +25,8 @@ from freenil2.zlinalg import (
     smith_divisors,
     smith_rows,
     summand_frame,
-    unimodular_inverse_rows,
 )
-from smith_reference import smith_rows_reference
+from smith_reference import smith_rows_reference, unimodular_inverse_rows_reference
 
 
 def minors_gcd(rows, k):
@@ -104,13 +103,26 @@ class TestTrustedResults:
             a, a_inv = random_unimodular_word(rng, n, 8)
             b = random_matrix(rng, n)
             results = [a * b, a + b, a - b, -b, IntMatrix.identity(n),
-                       inverse_unimodular(a), *smith_decompose(b)]
+                       inverse_unimodular(a), IntMatrix.from_columns(b.columns()),
+                       *smith_decompose(b)]
             for r in results:
                 assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
                 assert all(type(x) is int for row in r.rows for x in row)
                 assert r == IntMatrix(r.rows) and hash(r) == hash(IntMatrix(r.rows))
                 assert r.n == n
             assert inverse_unimodular(a) == a_inv
+            assert IntMatrix.from_columns(map(list, b.columns())) == b
+
+    def test_from_columns_checks_each_column(self):
+        assert IntMatrix.from_columns([(1, "2"), [True, 4]]) == IntMatrix([[1, 1], [2, 4]])
+        for cols in ([(1, 2, 3), (4, 5, 6)], [(1,), (4, 5)], [(1, 2), (3,)], [(1, 2)]):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                IntMatrix.from_columns(cols)
+        with pytest.raises(ValueError, match="matrix rank must be >= 1"):
+            IntMatrix.from_columns([])
+        for cols in ([(1, 0), (0.5, 1)], ["10", "01"]):
+            with pytest.raises(ValueError):
+                IntMatrix.from_columns(cols)
 
     def test_identity_and_ranks_checked(self):
         with pytest.raises(ValueError):
@@ -358,14 +370,65 @@ class TestUnimodular:
 
     def test_inverse_random(self):
         rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(1, 4)
+        for _ in range(120):
+            n = rng.randint(1, 8)
             m = random_matrix(rng, n, bound=3)
             if not is_unimodular_matrix(m):
-                continue
+                with pytest.raises(NotUnimodular):
+                    inverse_unimodular(m)
+                m, _ = random_unimodular_word(rng, n, 4 * n)
             inv = inverse_unimodular(m)
             assert m * inv == IntMatrix.identity(n)
             assert inv * m == IntMatrix.identity(n)
+
+
+@st.composite
+def square_inputs(draw):
+    """Square row lists of rank 1-8: mostly unimodular P D L U products of
+    unit-triangular factors with entries of up to three digits (up to seven
+    digits in the product; the permutation often puts a zero on the leading
+    pivot), some with one row scaled, which makes them singular or of
+    another determinant, and some with arbitrary entries of up to six
+    digits."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("unimodular", "unimodular", "scaled", "arbitrary")))
+    entry = st.one_of(st.just(0), st.sampled_from((-1, 1)), st.integers(-999_999, 999_999))
+    if kind == "arbitrary":
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    small = st.one_of(st.just(0), st.sampled_from((-1, 1)), st.integers(-999, 999))
+    lower = [[draw(small) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(small) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    signs = [draw(st.sampled_from((-1, 1))) for _ in range(n)]
+    rows = [[s * x for x in row] for s, row in zip(signs, mul_rows(lower, upper))]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    if kind == "scaled":
+        i = draw(st.integers(0, n - 1))
+        factor = draw(st.sampled_from((0, 2, -2, 3, 7)))
+        rows[i] = [factor * x for x in rows[i]]
+    return rows
+
+
+class TestInverseOracle:
+    """inverse_unimodular, by fraction-free elimination, against the inverse
+    read off the Smith decomposition (tests/smith_reference.py)."""
+
+    @given(square_inputs())
+    @settings(max_examples=400, deadline=None)
+    # zero leading pivots, unimodular and not
+    @example([[0, 1], [1, 0]])
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    @example([[0, 2, 1], [1, 7, 3], [0, 1, 1]])
+    @example([[0, 1], [0, 2]])
+    @example([[0, 1, 0], [0, 0, 1], [0, 3, 4]])
+    @example([[0, 2], [1, 0]])
+    def test_matches_smith_inverse(self, rows):
+        try:
+            expected = unimodular_inverse_rows_reference(rows)
+        except NotUnimodular:
+            with pytest.raises(NotUnimodular):
+                inverse_unimodular(IntMatrix(rows))
+            return
+        assert inverse_unimodular(IntMatrix(rows)).to_lists() == expected
 
 
 class TestDecompose:
@@ -446,7 +509,7 @@ class TestEngineOracle:
         assert smith_divisors(rows) == [d[i][i] for i in range(min(m, n))]
         self.check_frame(rows)
         # the first columns of a unimodular matrix always span a summand
-        self.check_frame([r[:min(m, n)] for r in unimodular_inverse_rows(u)])
+        self.check_frame([r[:min(m, n)] for r in unimodular_inverse_rows_reference(u)])
 
     @staticmethod
     def check_frame(a):
@@ -459,6 +522,6 @@ class TestEngineOracle:
                 summand_frame(a)
             return
         complement, rows = summand_frame(a)
-        u_inv = unimodular_inverse_rows(u)
+        u_inv = unimodular_inverse_rows_reference(u)
         assert complement == [tuple(r[j] for r in u_inv) for j in range(k, n)]
         assert rows == mul_rows(v, u[:k]) + u[k:]
