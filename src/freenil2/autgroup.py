@@ -298,14 +298,6 @@ def extremal_standard(rank: int, i: int) -> Automorphism:
     return Automorphism(images)
 
 
-def basis_permutation(rank: int, perm) -> Automorphism:
-    """x_i -> x_{perm[i-1]} for a bijection perm of 1..rank."""
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(1, rank + 1)):
-        raise IndexOutOfRank(f"{perm} is not a permutation of 1..{rank}")
-    return Automorphism([Element.generator(rank, p) for p in perm])
-
-
 def classify_involution(sigma: Automorphism) -> InvolutionKind:
     """Coarse type of an involution, read off the abelianization.
 
@@ -341,13 +333,6 @@ def is_basis_conjugation_set(taus) -> bool:
     if not witnesses or len(witnesses) != witnesses[0].rank:
         return False
     return is_unimodular_matrix(IntMatrix.from_columns([w.abelian for w in witnesses]))
-
-
-def conjugation_basis_symmetry(taus) -> Automorphism:
-    """The symmetry inverting the zero-offset witnesses of a basis set of
-    conjugations."""
-    rho = Automorphism(_basis_set_witnesses(taus))
-    return compose(rho, compose(symmetry_standard(rho.rank), invert(rho)))
 
 
 def is_attached_symmetry(theta: Automorphism, taus) -> bool:

@@ -22,8 +22,6 @@ from .errors import (
     IndexOutOfRank,
     NoInvertedRepresentative,
     NotAttached,
-    NotIA,
-    NotPrimitive,
 )
 from .nilcore import Element, offset_support_split
 from .report import CheckResult
@@ -68,19 +66,6 @@ def classify_wrt_extremal(alpha: Automorphism, i: int) -> PMClass:
     if minus:
         return PMClass.MINUS
     return PMClass.NEITHER
-
-
-def fixes_primitive(alpha: Automorphism, x: Element) -> bool:
-    """Whether an IA automorphism fixes the primitive element x.
-
-    Fixing x forces fixing every element of the coset x * centre, since IA
-    automorphisms fix the centre pointwise.
-    """
-    if not autgroup.is_ia(alpha):
-        raise NotIA("membership is only defined for IA automorphisms")
-    if not x.is_primitive():
-        raise NotPrimitive("witness element must be primitive")
-    return autgroup.apply(alpha, x) == x
 
 
 def stabilizer_split(alpha: Automorphism, i: int) -> IASplit:

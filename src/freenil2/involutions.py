@@ -139,23 +139,6 @@ def involution_block_type(f: IntMatrix) -> tuple[int, int, int]:
     return p, m, s
 
 
-def defect(f: IntMatrix) -> int:
-    """log2 of the index of A+ (+) A- in Z^n; 0 iff diagonalizable over Z."""
-    return involution_block_type(f)[2]
-
-
-def is_diagonalizable(f: IntMatrix) -> bool:
-    return defect(f) == 0
-
-
-def min_plus_minus_rank(f: IntMatrix) -> int:
-    """min(rank A+, rank A-) of a diagonalizable involution."""
-    p, m, s = involution_block_type(f)
-    if s != 0:
-        raise NotDiagonalizable("involution has nonzero defect")
-    return min(p, m)
-
-
 def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
     """Compute a fix/negate/swap basis for an involution.
 

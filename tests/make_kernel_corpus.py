@@ -46,6 +46,8 @@ from freenil2.sampling import (
 )
 from freenil2.zlinalg import IntMatrix, direct_complement, kernel_summand_basis
 
+from autgroup_reference import conjugation_basis_symmetry
+
 SEED = 4
 RANKS = range(2, 7)
 CASES = 6  # per operation and rank
@@ -123,7 +125,7 @@ def build_lattice() -> dict:
                 "f": f.to_lists(),
                 "plus": _vectors(pm.plus),
                 "minus": _vectors(pm.minus),
-                "defect": involutions.defect(f),
+                "defect": involutions.involution_block_type(f)[2],
                 "kernel": _vectors(kernel),
                 "complement": _vectors(direct_complement(kernel)),
                 "type": list(form.block_type()),
@@ -194,7 +196,7 @@ def build_ia() -> dict:
             if k == CASES - 1:
                 witnesses[0] = witnesses[0] ** 2
             taus = [autgroup.conjugation(w) for w in witnesses]
-            symmetry = _outcome(lambda s: s, autgroup.conjugation_basis_symmetry, taus)
+            symmetry = _outcome(lambda s: s, conjugation_basis_symmetry, taus)
             base = (autgroup.symmetry_standard(n) if isinstance(symmetry, dict)
                     else symmetry)
             # odd k: an IA factor with random offsets, not a square, so usually

@@ -154,19 +154,10 @@ class TestBlockType:
 
 class TestDefect:
     def test_examples(self):
-        assert inv.defect(IntMatrix([[1, 0], [0, -1]])) == 0
-        assert inv.is_diagonalizable(IntMatrix([[1, 0], [0, -1]]))
-        assert inv.defect(IntMatrix([[0, 1], [1, 0]])) == 1
-        assert not inv.is_diagonalizable(IntMatrix([[0, 1], [1, 0]]))
-        assert inv.defect(IntMatrix([[2, 1], [-3, -2]])) == 1
-
-    def test_min_rank_examples(self):
-        assert inv.min_plus_minus_rank(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == 1
-        assert inv.min_plus_minus_rank(-IntMatrix.identity(4)) == 0
-        d4 = IntMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        assert inv.min_plus_minus_rank(d4) == 2
-        with pytest.raises(NotDiagonalizable):
-            inv.min_plus_minus_rank(IntMatrix([[0, 1], [1, 0]]))
+        # the defect is the swap count s of the block type
+        assert inv.involution_block_type(IntMatrix([[1, 0], [0, -1]]))[2] == 0
+        assert inv.involution_block_type(IntMatrix([[0, 1], [1, 0]]))[2] == 1
+        assert inv.involution_block_type(IntMatrix([[2, 1], [-3, -2]]))[2] == 1
 
 
 class TestCanonicalForm:
@@ -194,7 +185,7 @@ class TestCanonicalForm:
             n = rng.randint(2, 5)
             f = random_involution_matrix(rng, n)
             pm = inv.plus_minus(f)
-            s = inv.defect(f)
+            s = inv.involution_block_type(f)[2]
             form = inv.canonicalize_involution(f)
             form.validate(f)
             assert form.block_type() == (len(pm.plus) - s, len(pm.minus) - s, s)
@@ -227,7 +218,7 @@ class TestLatticeCorpus:
             pm = inv.plus_minus(f)
             assert self.vectors(pm.plus) == case["plus"]
             assert self.vectors(pm.minus) == case["minus"]
-            assert pm.defect == inv.defect(f) == case["defect"]
+            assert pm.defect == inv.involution_block_type(f)[2] == case["defect"]
             kernel = kernel_summand_basis(f - IntMatrix.identity(f.n))
             assert self.vectors(kernel) == case["kernel"]
             assert self.vectors(direct_complement(kernel)) == case["complement"]

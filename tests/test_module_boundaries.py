@@ -54,3 +54,59 @@ def test_detector_flags_both_forms(tmp_path):
     assert sorted(cross_module_private_uses(sample)) == [
         (2, "_pair_pos"), (5, "autgroup._zero_based_pairs"), (5, "z._identity_rows"),
         (6, "Automorphism._trusted")]
+
+
+# public names that no module of the package references, kept on purpose
+KEPT_UNREFERENCED = {
+    # the lattice-r8 benchmark workload calls it and the benchmark's tracer wraps it
+    "zlinalg.smith_decompose",
+}
+
+
+def unreferenced_public_names(paths):
+    """``module.name`` of every public module-level function and class that no
+    module among paths references, by name, attribute or import, other than
+    by its own def.  A def decorated by a function of these modules (a
+    registering decorator, like verify's ``_check``) counts as referenced."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    defs = {name: [node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+            for name, tree in trees.items()}
+    functions = {node.name for nodes in defs.values() for node in nodes
+                 if not isinstance(node, ast.ClassDef)}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}.{node.name}" for module, nodes in defs.items() for node in nodes
+        if not private(node.name) and node.name not in referenced
+        and not any(ast.unparse(getattr(d, "func", d)) in functions for d in node.decorator_list))
+
+
+def test_every_public_name_is_referenced_in_the_package():
+    assert unreferenced_public_names(sorted(PACKAGE.glob("*.py"))) == sorted(KEPT_UNREFERENCED)
+
+
+def test_unreferenced_detector(tmp_path):
+    (tmp_path / "a.py").write_text("def used(): pass\n"
+                                   "def by_attribute(): pass\n"
+                                   "def unused(): return helper()\n"
+                                   "def helper(): pass\n"
+                                   "class Unused: pass\n"
+                                   "def _private(): pass\n"
+                                   "def _register(name): return lambda fn: fn\n"
+                                   "@_register('x')\n"
+                                   "def registered(): pass\n"
+                                   "@lru_cache\n"
+                                   "def cached(): pass\n")
+    (tmp_path / "b.py").write_text("from .a import used\n"
+                                   "from . import a\n"
+                                   "y = a.by_attribute()\n")
+    assert unreferenced_public_names(sorted(tmp_path.glob("*.py"))) == [
+        "a.Unused", "a.cached", "a.unused"]

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
-from freenil2 import cli, verify
+from freenil2 import autgroup, cli, involutions, verify
+from freenil2.errors import CanonicalizationPostconditionFailed
+from freenil2.nilcore import Element, mul_fold
 from freenil2.report import CheckResult, VerificationReport
 
 
@@ -55,3 +59,41 @@ def test_trial_rng_is_stable():
     c = verify._trial_rng(0, "group_axioms", 2, 1).getrandbits(64)
     assert a == b
     assert a != c
+    assert a == 10089006665928787417  # pins the seed derivation
+
+
+def test_failure_reports_trials_started(monkeypatch):
+    # mul_fold disagrees with reduce_word on words of more than 8 letters; at
+    # seed 0 and rank 2 the first such word is drawn at trial index 3
+    def long_words_off(word):
+        g = mul_fold(word)
+        return g * Element.generator(word.rank, 1) if len(word.letters) > 8 else g
+
+    monkeypatch.setattr(verify, "mul_fold", long_words_off)
+    assert verify.check_word_oracle(2, 10, 0) == CheckResult("word_oracle", "fail", 4, {
+        "letters": [(2, 1), (1, -1), (1, -1), (2, -1), (1, -1), (1, -1), (2, -1), (2, 1),
+                    (1, -1), (1, 1), (1, 1), (2, 1)]})
+
+
+def raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+@pytest.mark.parametrize("module, attr, exc, check, expected", [
+    (involutions, "canonicalize_involution", CanonicalizationPostconditionFailed("forced"),
+     "canonical_involution_form",
+     {"exception": "CanonicalizationPostconditionFailed", "message": "forced"}),
+    (autgroup, "inner_witness", KeyError("forced"), "inner_witness_solver",
+     {"exception": "KeyError", "message": "'forced'"}),
+], ids=["library_error", "key_error"])
+def test_raising_check_fails_with_exception(monkeypatch, capsys, module, attr, exc, check,
+                                            expected):
+    monkeypatch.setattr(module, attr, raising(exc))
+    assert verify.CHECKS[check](2, 3, 0) == CheckResult(check, "fail", 1, expected)
+    code = cli.main(["verify", "--rank-min", "2", "--rank-max", "2", "--trials", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "result: FAIL" in out
+    assert f"counterexample: {json.dumps(expected, sort_keys=True)}" in out
