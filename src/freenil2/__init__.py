@@ -27,7 +27,6 @@ from .errors import (
     NotIA,
     NotInner,
     NotInvolution,
-    NotPrimitive,
     NotUnimodular,
     OddNegativeRank,
     ParseError,
@@ -57,7 +56,6 @@ __all__ = [
     "InvalidAutomorphism",
     "NotIA",
     "NotInner",
-    "NotPrimitive",
     "NotInvolution",
     "NotDiagonalizable",
     "OddNegativeRank",

@@ -47,10 +47,6 @@ class NotInner(FreeNil2Error):
     """IA automorphism is not a conjugation."""
 
 
-class NotPrimitive(FreeNil2Error):
-    """Element is not a member of any basis."""
-
-
 class NotInvolution(FreeNil2Error):
     """Input does not square to the identity."""
 

@@ -115,7 +115,7 @@ def shifting_involution(rank: int, i: int, j: int) -> Automorphism:
     return psi
 
 
-def inversion_criterion_check(rank: int, i: int, j: int, trials: int = 50, seed: int = 0) -> CheckResult:
+def inversion_criterion_check(rank: int, i: int, j: int, trials: int, seed: int) -> CheckResult:
     """Randomized check of the inversion criterion for the minus factor.
 
     Conjugation by the shifting involution must invert every member of the

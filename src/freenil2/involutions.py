@@ -15,7 +15,6 @@ themselves and is the independent route to the same counts.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -42,8 +41,8 @@ from .zlinalg import (
 )
 
 # The two noncentral involution classes of GL(2, Z) up to conjugacy, and for
-# each a triple of conjugates whose product fails to square to the identity.
-# These exact matrices are regression pins for the three-conjugates probe.
+# each a triple of conjugates whose product fails to square to the identity:
+# pinned witnesses that the three-conjugates fact is special to -I.
 X_MATRIX = IntMatrix([[1, 0], [0, -1]])
 X_CONJUGATE_TRIPLE = (
     IntMatrix([[1, 0], [0, -1]]),
@@ -304,35 +303,15 @@ def order_three_product_pair(n: int) -> tuple[IntMatrix, IntMatrix]:
 # three-conjugates probe
 # ---------------------------------------------------------------------------
 
-def _probe_matrix(f: IntMatrix, trials: int, seed: int, word_length: int,
-                  candidate_triples) -> ProbeResult:
-    _require_involution(f)
-    n = f.n
-    rng = random.Random(seed)
+def three_conjugates_probe(sigma, trials: int, seed: int) -> ProbeResult:
+    """Search for three conjugates of an involutive automorphism whose
+    product is not an involution.
 
-    def conjugate() -> IntMatrix:
-        c, c_inv = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
-        return c * f * c_inv
-
-    random_triples = ([conjugate() for _ in range(3)] for _ in range(trials))
-    ran = 0
-    for triple in itertools.chain(candidate_triples or (), random_triples):
-        ran += 1
-        product = triple[0] * triple[1] * triple[2]
-        if not (product * product).is_identity():
-            return ProbeResult(
-                status="counterexample",
-                trials=ran,
-                counterexample={
-                    "conjugates": [c.to_lists() for c in triple],
-                    "product": product.to_lists(),
-                    "product_square": (product * product).to_lists(),
-                },
-            )
-    return ProbeResult(status="no_counterexample", trials=ran)
-
-
-def _probe_automorphism(sigma, trials: int, seed: int, word_length: int) -> ProbeResult:
+    Conjugators are sampled as products of 1 to 8 elementary, permutation and
+    sign generators, lifted and composed with a small IA factor.  When sigma
+    abelianizes to -I no counterexample can exist: a product of three such
+    involutions again abelianizes to -I and is therefore an involution.
+    """
     if not autgroup.compose(sigma, sigma).is_identity():
         raise NotInvolution("automorphism does not square to the identity")
     n = sigma.rank
@@ -340,7 +319,7 @@ def _probe_automorphism(sigma, trials: int, seed: int, word_length: int) -> Prob
     for trial in range(trials):
         conjugates = []
         for _ in range(3):
-            matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, word_length + 1))
+            matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, 9))
             c = autgroup.compose(autgroup.lift(matrix), sampling.random_ia(rng, n, 1))
             conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
         product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
@@ -354,23 +333,3 @@ def _probe_automorphism(sigma, trials: int, seed: int, word_length: int) -> Prob
                 },
             )
     return ProbeResult(status="no_counterexample", trials=trials)
-
-
-def three_conjugates_probe(f, trials: int = 100, seed: int = 0, word_length: int = 8,
-                           candidate_triples=None) -> ProbeResult:
-    """Search for three conjugates of an involution whose product is not an
-    involution.
-
-    Accepts either an IntMatrix or an Automorphism.  Conjugators are sampled
-    as bounded products of elementary, permutation and sign generators (plus
-    small IA factors in the automorphism case).  ``candidate_triples`` are
-    explicit conjugate triples tried before any random trial, used to pin the
-    known X/Y regression witnesses.  When the input abelianizes to -I no
-    counterexample can exist: a product of three such involutions again
-    abelianizes to -I and is therefore an involution.
-    """
-    if isinstance(f, IntMatrix):
-        return _probe_matrix(f, trials, seed, word_length, candidate_triples)
-    if candidate_triples:
-        raise ValueError("candidate triples are only supported for matrix probes")
-    return _probe_automorphism(f, trials, seed, word_length)

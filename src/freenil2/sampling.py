@@ -47,22 +47,21 @@ def random_ia(rng: random.Random, n: int, bound: int = 2) -> Automorphism:
     return random_ia_on_supports(rng, n, [range(pair_count(n))] * n, bound)
 
 
-def random_minus_member(rng: random.Random, rank: int, i: int, bound: int = 2) -> Automorphism:
+def random_minus_member(rng: random.Random, rank: int, i: int) -> Automorphism:
     """Random element of the minus factor of the stabilizer of x_i."""
     through, _ = offset_support_split(rank, i)
     supports = [() if k == i else through for k in range(1, rank + 1)]
-    return random_ia_on_supports(rng, rank, supports, bound)
+    return random_ia_on_supports(rng, rank, supports)
 
 
-def random_inverted_member_with_offset(rng: random.Random, rank: int, i: int,
-                                       bound: int = 2) -> Automorphism:
+def random_inverted_member_with_offset(rng: random.Random, rank: int, i: int) -> Automorphism:
     """Random automorphism inverted by the standard extremal involution at i
     but moving x_i by a nontrivial central offset (needs rank >= 3)."""
     if rank < 3:
         raise ValueError("a nontrivial central offset on x_i needs rank >= 3")
     through, avoiding = offset_support_split(rank, i)
     supports = [avoiding if k == i else through for k in range(1, rank + 1)]
-    return random_ia_on_supports(rng, rank, supports, bound, nonzero=i)
+    return random_ia_on_supports(rng, rank, supports, nonzero=i)
 
 
 def random_unimodular_word(rng: random.Random, n: int, length: int) -> tuple[IntMatrix, IntMatrix]:
@@ -99,8 +98,8 @@ def random_unimodular_word(rng: random.Random, n: int, length: int) -> tuple[Int
     return IntMatrix(m), IntMatrix(m_inv)
 
 
-def random_unimodular(rng: random.Random, n: int, length: int = 5) -> IntMatrix:
-    matrix, _ = random_unimodular_word(rng, n, length)
+def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
+    matrix, _ = random_unimodular_word(rng, n, 5)
     return matrix
 
 
@@ -137,8 +136,8 @@ def random_word(rng: random.Random, n: int, max_len: int) -> GeneratorWord:
     )
 
 
-def random_primitive(rng: random.Random, n: int, bound: int = 3) -> Element:
+def random_primitive(rng: random.Random, n: int) -> Element:
     while True:
-        vec = [rng.randint(-bound, bound) for _ in range(n)]
+        vec = [rng.randint(-3, 3) for _ in range(n)]
         if any(vec) and is_unimodular_vector(vec):
             return Element(n, vec)

@@ -80,11 +80,14 @@ def _check(name: str, single: bool = False):
     pass or the counterexample of a failure; an exception it raises is a
     failure too, with the exception as the counterexample.  A pass reports
     the trials asked for, a failure the trials started (at least 1).  A
-    ``single`` check is one construction and counts as one trial.
+    ``single`` check is one construction and counts as one trial.  Fewer
+    than one trial asked for is a ValueError, not a vacuous pass.
     """
 
     def register(body: Callable[[int, _Trials], dict | None]):
         def check(rank: int, trials: int, seed: int) -> CheckResult:
+            if trials < 1:
+                raise ValueError("trials must be >= 1; zero trials would pass vacuously")
             run = _Trials(seed, name, rank, 1 if single else trials)
             try:
                 failure = body(rank, run)
@@ -259,24 +262,20 @@ def check_three_conjugates(rank: int, trials: _Trials) -> dict | None:
             rows[k][k] = 1
         return IntMatrix(rows)
 
-    # pinned regression witnesses: each triple must yield a counterexample
+    # pinned witnesses: each base is an involution, its triple's product is not
     for base, triple in (
         (involutions.X_MATRIX, involutions.X_CONJUGATE_TRIPLE),
         (involutions.Y_MATRIX, involutions.Y_CONJUGATE_TRIPLE),
     ):
-        result = involutions.three_conjugates_probe(
-            pad(base), trials=0,
-            candidate_triples=[tuple(pad(m) for m in triple)],
-        )
-        if not result.found():
+        f = pad(base)
+        product = pad(triple[0]) * pad(triple[1]) * pad(triple[2])
+        if not (f * f).is_identity() or (product * product).is_identity():
             return dict(witness=base.to_lists(),
-                        reason="pinned witness did not report a counterexample")
+                        reason="pinned witness is not a counterexample")
     # forward direction: conjugates of a symmetry-mod-IA involution
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
-        result = involutions.three_conjugates_probe(
-            theta, trials=1, seed=rng.randrange(2**32), word_length=8
-        )
+        result = involutions.three_conjugates_probe(theta, 1, rng.randrange(2**32))
         if result.found():
             return dict(theta=format_automorphism(theta),
                         counterexample=result.counterexample)
@@ -495,8 +494,7 @@ def check_minus_inversion_criterion(rank: int, trials: _Trials) -> dict | None:
     rng = trials.rng(0)
     i = rng.randint(1, rank)
     j = rng.choice([k for k in range(1, rank + 1) if k != i])
-    inner = iastruct.inversion_criterion_check(rank, i, j, trials=trials.count,
-                                               seed=rng.randrange(2**32))
+    inner = iastruct.inversion_criterion_check(rank, i, j, trials.count, rng.randrange(2**32))
     trials.started = inner.trials
     return inner.counterexample
 

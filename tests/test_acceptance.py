@@ -80,9 +80,7 @@ def test_06_three_conjugates_forward():
     for rank in range(2, 6):
         for _ in range(50):
             theta = sampling.random_symmetry_mod_ia(rng, rank)
-            result = inv.three_conjugates_probe(
-                theta, trials=1, seed=rng.randrange(2**32), word_length=8
-            )
+            result = inv.three_conjugates_probe(theta, trials=1, seed=rng.randrange(2**32))
             triples += 1
             ok = ok and not result.found()
     report(6, "three-conjugates-forward", ok and triples >= 200, f"({triples} triples)")

@@ -15,6 +15,7 @@ from freenil2.errors import (
     RankMismatch,
 )
 from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
+from freenil2.wordlang import parse_automorphism
 from freenil2.zlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -350,27 +351,24 @@ class TestOrderThree:
         assert not m.is_identity() and not (m * m).is_identity()
 
 
+def padded(m: IntMatrix, n: int) -> IntMatrix:
+    """m in the top-left corner of the rank-n identity."""
+    return IntMatrix([list(row) + [0] * (n - m.n) for row in m.rows]
+                     + [[int(i == j) for j in range(n)] for i in range(m.n, n)])
+
+
 class TestThreeConjugatesProbe:
     def test_x_witness_pinned(self):
-        result = inv.three_conjugates_probe(
-            inv.X_MATRIX, trials=0, candidate_triples=[inv.X_CONJUGATE_TRIPLE]
-        )
-        assert result.found()
-        assert result.counterexample["product"] == [[-1, 2], [2, -3]]
-        assert result.counterexample["product_square"] == [[5, -8], [-8, 13]]
+        x1, x2, x3 = inv.X_CONJUGATE_TRIPLE
+        product = x1 * x2 * x3
+        assert product == IntMatrix([[-1, 2], [2, -3]])
+        assert product * product == IntMatrix([[5, -8], [-8, 13]])
 
     def test_y_witness_pinned(self):
-        result = inv.three_conjugates_probe(
-            inv.Y_MATRIX, trials=0, candidate_triples=[inv.Y_CONJUGATE_TRIPLE]
-        )
-        assert result.found()
-        assert result.counterexample["product"] == [[0, 1], [1, 2]]
-        assert result.counterexample["product_square"] == [[1, 2], [2, 5]]
-
-    def test_rank_one(self):
-        # every conjugate of -I is -I; rank 1 has no transvections or swaps
-        result = inv.three_conjugates_probe(IntMatrix([[-1]]), trials=20, seed=0)
-        assert result.status == "no_counterexample" and result.trials == 20
+        y1, y2, y3 = inv.Y_CONJUGATE_TRIPLE
+        product = y1 * y2 * y3
+        assert product == IntMatrix([[0, 1], [1, 2]])
+        assert product * product == IntMatrix([[1, 2], [2, 5]])
 
     def test_witness_triples_are_conjugates(self):
         # each pinned conjugate is genuinely conjugate to its base involution:
@@ -383,25 +381,27 @@ class TestThreeConjugatesProbe:
             for m in triple:
                 assert inv.canonicalize_involution(m).block_type() == want
 
-    def test_minus_identity_never_fails(self):
-        result = inv.three_conjugates_probe(-IntMatrix.identity(3), trials=60, seed=9)
-        assert not result.found()
-
-    def test_random_probe_finds_x_and_y(self):
-        for base, seed in ((inv.X_MATRIX, 1), (inv.Y_MATRIX, 2)):
-            result = inv.three_conjugates_probe(base, trials=200, seed=seed)
-            assert result.found()
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("base", [inv.X_MATRIX, inv.Y_MATRIX], ids=["x", "y"])
+    def test_finds_x_and_y_counterexamples(self, base, n):
+        sigma = ag.lift(padded(base, n))
+        for seed in range(5):
+            result = inv.three_conjugates_probe(sigma, 10, seed)
+            assert result.found() and result.trials <= 3, seed
+            conjugates = [parse_automorphism(c) for c in result.counterexample["conjugates"]]
+            product = parse_automorphism(result.counterexample["product"])
+            assert all(ag.compose(c, c).is_identity() for c in conjugates)
+            assert product == ag.compose(ag.compose(conjugates[0], conjugates[1]), conjugates[2])
+            assert not ag.compose(product, product).is_identity()
 
     def test_symmetry_mod_ia_automorphism_probe(self):
         rng = random.Random(5)
         for _ in range(5):
             n = rng.randint(2, 4)
             theta = random_symmetry_mod_ia(rng, n)
-            result = inv.three_conjugates_probe(theta, trials=5, seed=rng.randrange(2**30))
+            result = inv.three_conjugates_probe(theta, 5, rng.randrange(2**30))
             assert not result.found()
 
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolution):
-            inv.three_conjugates_probe(IntMatrix([[1, 1], [0, 1]]), trials=1)
-        with pytest.raises(NotInvolution):
-            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), trials=1)
+            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), 1, 0)

@@ -1,9 +1,12 @@
-"""No module of the package uses another module's private (``_``) names."""
+"""Boundaries of the package's modules: no module uses another module's
+private (``_``) names, every public name is referenced, and every package
+error is raised."""
 
 import ast
 from pathlib import Path
 
 import freenil2
+from freenil2 import errors
 
 PACKAGE = Path(freenil2.__file__).parent
 
@@ -110,3 +113,36 @@ def test_unreferenced_detector(tmp_path):
                                    "y = a.by_attribute()\n")
     assert unreferenced_public_names(sorted(tmp_path.glob("*.py"))) == [
         "a.Unused", "a.cached", "a.unused"]
+
+
+def raised_names(paths):
+    """Last dotted part of every name in a ``raise`` statement among paths,
+    called or not: ``raise errors.NotIA("x")`` gives ``NotIA``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(ast.unparse(exc).rpartition(".")[2])
+    return names
+
+
+def test_every_package_error_is_raised():
+    subclasses = {cls.__name__ for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.FreeNil2Error)
+                  and cls is not errors.FreeNil2Error}
+    assert len(subclasses) >= 10
+    assert sorted(subclasses - raised_names(sorted(PACKAGE.glob("*.py")))) == []
+
+
+def test_raised_detector(tmp_path):
+    (tmp_path / "a.py").write_text("from . import errors\n"
+                                   "def f(x):\n"
+                                   "    if x:\n"
+                                   "        raise errors.NotIA('x')\n"
+                                   "    try:\n"
+                                   "        pass\n"
+                                   "    except KeyError:\n"
+                                   "        raise\n"
+                                   "    raise NotInner\n")
+    assert raised_names([tmp_path / "a.py"]) == {"NotIA", "NotInner"}

@@ -32,6 +32,14 @@ def test_run_suite_validates_ranks():
         verify.run_suite(2, 9, 1, 0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_checks_reject_fewer_than_one_trial(trials):
+    # every check, the single-construction order_three_product included
+    for name, check in verify.CHECKS.items():
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check(3, trials, 0)
+
+
 def test_seed_changes_report():
     a = verify.run_suite(2, 2, 2, 0).to_json()
     b = verify.run_suite(2, 2, 2, 1).to_json()
