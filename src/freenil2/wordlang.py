@@ -19,6 +19,7 @@ must lie in 2..``nilcore.MAX_RANK``.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
 from .errors import IndexOutOfRank, ParseError
 from .nilcore import MAX_RANK, Element, commutator, pair_list
@@ -122,18 +123,21 @@ def parse_element(text: str, rank: int) -> Element:
 
 def format_element(g: Element) -> str:
     """Canonical text: generators ascending, then commutators lexicographic,
-    zero exponents omitted; the identity prints as "1"."""
+    zero exponents omitted; the identity prints as "1".  Exponents print
+    exactly at any length: str refuses ints past the interpreter's conversion
+    limit (4,300 digits by default), which guards parsing, but a result of
+    valid input may exceed it, and Decimal converts exactly."""
     parts = []
     for i, e in enumerate(g.abelian, start=1):
         if e == 1:
             parts.append(f"x{i}")
         elif e != 0:
-            parts.append(f"x{i}^{e}")
+            parts.append(f"x{i}^{Decimal(e)}")
     for (i, j), e in zip(pair_list(g.rank), g.comm):
         if e == 1:
             parts.append(f"[x{i},x{j}]")
         elif e != 0:
-            parts.append(f"[x{i},x{j}]^{e}")
+            parts.append(f"[x{i},x{j}]^{Decimal(e)}")
     return "*".join(parts) if parts else "1"
 
 

@@ -222,14 +222,29 @@ class TestApply:
             )
 
     def test_matches_substitution(self):
-        # the closed form against multiplying the image powers out in order
+        # the closed form against multiplying the image powers out in order,
+        # on both sides of the congruence's cut-off, with and without a
+        # commutator part
         rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(2, 6)
+        for k in range(200):
+            n = rng.randint(2, 10)
             sigma = ag.compose(random_automorphism(rng, n), random_ia(rng, n, bound=9))
-            g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],
-                        [rng.randint(-99, 99) for _ in range(n * (n - 1) // 2)])
+            comm = [rng.randint(-10**6, 10**6) for _ in range(pair_count(n))] if k % 2 else None
+            g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)], comm)
             assert ag.apply(sigma, g) == apply_by_substitution(sigma, g)
+
+    def test_power_product_and_congruence_agree(self):
+        # apply picks one of the two by rank; each is exact at every rank
+        rng = random.Random(12)
+        for n in range(1, 13):
+            for k in range(6):
+                if n == 1:
+                    sigma = ag.lift(IntMatrix([[rng.choice((1, -1))]]))
+                else:
+                    sigma = big_automorphism(rng, n)
+                comm = [rng.randint(-10**6, 10**6) for _ in range(pair_count(n))] if k % 2 else None
+                g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)], comm)
+                assert ag._apply_by_congruence(sigma, g) == ag._apply_by_power_product(sigma, g)
 
 
 class TestComposeInvert:
@@ -309,6 +324,14 @@ class TestClosedFormKernel:
             for out in (ag.apply(sigma, g), g * g, g.inverse()):
                 checked = Element(n, out.abelian, out.comm)
                 assert checked == out and hash(checked) == hash(out) and plain_ints(out)
+        # apply at rank 6 and above takes the congruence when g has a commutator part
+        rng = random.Random(24)
+        for n in (6, 8, 11):
+            g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],
+                        [rng.randint(-10**6, 10**6) for _ in range(pair_count(n))])
+            out = ag.apply(big_automorphism(rng, n), g)
+            checked = Element(n, out.abelian, out.comm)
+            assert checked == out and hash(checked) == hash(out) and plain_ints(out)
 
 
 class TestKernelCorpus:

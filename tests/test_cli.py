@@ -46,6 +46,21 @@ class TestElementCommands:
         code, _, err = run(capsys, "eval", "--rank", "2", "x5")
         assert code == 2 and "x5" in err
 
+    def test_results_past_the_int_conversion_limit_print_exactly(self, capsys):
+        # the interpreter converts at most 4,300 digits by default; N*N has 8,000
+        n = 10**4000 - 1
+        square = f"{'9' * 3999}8{'0' * 3999}1"  # (10^4000 - 1)^2, in two halves below
+        assert int(square[:4000]) * 10**4000 + int(square[4000:]) == n * n
+        want = f"x1^{n}*x2^{n}*[x1,x2]^-{square}"
+        for argv in (("eval", "--rank", "2", f"x2^{n}*x1^{n}"),
+                     ("mul", "--rank", "2", f"x2^{n}", f"x1^{n}")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out.strip(), err) == (0, want, "")
+
+    def test_input_integer_past_the_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--rank", "2", "x1^" + "9" * 4400)
+        assert code == 2 and out == "" and "limit" in err
+
 
 class TestAutomorphismCommands:
     def theta(self):
