@@ -13,9 +13,9 @@ and gives the witness-solving routine below.
 Application, composition and inversion are closed forms in the
 abelianization M (for inversion, M^-1), the central parts of the images and
 Lambda^2 M, the action of M on the commutator subgroup (the class-two case
-of the Hall polynomials).  From rank 6, ``apply`` folds all of that into one
-congruence M Z M^T, with Z built from the element alone, when the element
-has a commutator part: O(n^3) operations in place of O(n^4).
+of the Hall polynomials).  ``apply`` folds all of that into one congruence
+M Z M^T, with Z built from the element alone, whenever the element has a
+commutator part: O(n^3) operations and no Lambda^2 M.
 """
 
 from __future__ import annotations
@@ -99,14 +99,6 @@ class Automorphism:
         return is_ia(self) and not any(any(img.comm) for img in self.images)
 
 
-# Least rank at which apply takes the congruence for an element with a
-# commutator part: the measured crossover.  Timed on a 2-core VM with small
-# entries, the congruence takes 1.57x the time of the power product at rank
-# 4, 1.15x at rank 5, 0.93x at rank 6, 0.62x at rank 8 and 0.10x at rank 32.
-# With no commutator part the power product is faster at every rank.
-_CONGRUENCE_MIN_RANK = 6
-
-
 def apply(sigma: Automorphism, g: Element) -> Element:
     """Image of g: substitute generator images into the normal form.
 
@@ -118,37 +110,17 @@ def apply(sigma: Automorphism, g: Element) -> Element:
     Summed over the images (m_l, c_l) of the generators, the image of
     g = (a, c) is the congruence (M a, sum_l a_l c_l + upper(M Z M^T)), where
     upper reads the entries (i, j), i < j, and Z_pq = c_pq, Z_qp = -c_pq -
-    a_p a_q for p < q and Z_pp = -C(a_p, 2).  apply takes that form at rank
-    _CONGRUENCE_MIN_RANK and above when g has a commutator part, and the
-    power product with only the columns of Lambda^2 M that g uses otherwise.
+    a_p a_q for p < q and Z_pp = -C(a_p, 2).  With c = 0 the power product
+    of sigma's images over a is the same sum with fewer operations, so apply
+    takes it; otherwise it takes the congruence: n^2 - n dot products of
+    length n for the columns of Z M^T that upper reads, then two per pair.
     """
     if sigma.rank != g.rank:
         raise RankMismatch(f"ranks {sigma.rank} and {g.rank} differ")
-    if g.rank >= _CONGRUENCE_MIN_RANK and any(g.comm):
-        return _apply_by_congruence(sigma, g)
-    return _apply_by_power_product(sigma, g)
-
-
-def _apply_by_power_product(sigma: Automorphism, g: Element) -> Element:
-    """sigma(g) as the power product of sigma's images over g's abelian
-    part, plus the columns of Lambda^2 M that g's commutator part uses: one
-    call does not repay building all of it, as compose does."""
-    pairs = _zero_based_pairs(g.rank)
-    abelian, comm = _power_product(sigma.images, g.abelian)
-    for (p, q), e in zip(pairs, g.comm):
-        if not e:
-            continue
-        a, b = sigma.images[p].abelian, sigma.images[q].abelian
-        for k, (i, j) in enumerate(pairs):
-            comm[k] += e * (a[i] * b[j] - a[j] * b[i])
-    return Element.trusted(g.rank, tuple(abelian), tuple(comm))
-
-
-def _apply_by_congruence(sigma: Automorphism, g: Element) -> Element:
-    """sigma(g) as (M a, sum_l a_l c_l + upper(M Z M^T)), as in ``apply``:
-    n^2 - n dot products of length n for the columns of Z M^T that upper
-    reads, then two per pair, one for upper and one for sum_l a_l c_l."""
     n, a = g.rank, g.abelian
+    if not any(g.comm):
+        abelian, comm = _power_product(sigma.images, a)
+        return Element.trusted(n, tuple(abelian), tuple(comm))
     pairs = _zero_based_pairs(n)
     rows = list(zip(*(img.abelian for img in sigma.images)))
     z = [[0] * n for _ in range(n)]

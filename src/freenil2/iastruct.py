@@ -121,8 +121,10 @@ def inversion_criterion_check(rank: int, i: int, j: int, trials: int, seed: int)
     Conjugation by the shifting involution must invert every member of the
     minus factor of the stabilizer of x_i, and must fail to invert members
     that move x_i by a nontrivial central offset (such members exist for
-    rank >= 3).
+    rank >= 3).  Fewer than one trial is a ValueError, not a vacuous pass.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1; zero trials would pass vacuously")
     rng = random.Random(seed)
     psi = shifting_involution(rank, i, j)
     phi = autgroup.extremal_standard(rank, i)

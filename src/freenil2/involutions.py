@@ -311,7 +311,10 @@ def three_conjugates_probe(sigma, trials: int, seed: int) -> ProbeResult:
     sign generators, lifted and composed with a small IA factor.  When sigma
     abelianizes to -I no counterexample can exist: a product of three such
     involutions again abelianizes to -I and is therefore an involution.
+    Fewer than one trial is a ValueError, not a vacuous no-counterexample.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1; zero trials would pass vacuously")
     if not autgroup.compose(sigma, sigma).is_identity():
         raise NotInvolution("automorphism does not square to the identity")
     n = sigma.rank

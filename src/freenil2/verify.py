@@ -253,23 +253,14 @@ def check_centreless(rank: int, trials: _Trials) -> dict | None:
 
 @_check("three_conjugates")
 def check_three_conjugates(rank: int, trials: _Trials) -> dict | None:
-    def pad(m: IntMatrix) -> IntMatrix:
-        rows = [[0] * rank for _ in range(rank)]
-        for i in range(2):
-            for j in range(2):
-                rows[i][j] = m.rows[i][j]
-        for k in range(2, rank):
-            rows[k][k] = 1
-        return IntMatrix(rows)
-
-    # pinned witnesses: each base is an involution, its triple's product is not
-    for base, triple in (
+    # pinned witnesses: each base is an involution, its triple's product is
+    # not; padding by an identity block keeps both, so the 2x2 matrices do
+    for base, (m1, m2, m3) in (
         (involutions.X_MATRIX, involutions.X_CONJUGATE_TRIPLE),
         (involutions.Y_MATRIX, involutions.Y_CONJUGATE_TRIPLE),
     ):
-        f = pad(base)
-        product = pad(triple[0]) * pad(triple[1]) * pad(triple[2])
-        if not (f * f).is_identity() or (product * product).is_identity():
+        product = m1 * m2 * m3
+        if not (base * base).is_identity() or (product * product).is_identity():
             return dict(witness=base.to_lists(),
                         reason="pinned witness is not a counterexample")
     # forward direction: conjugates of a symmetry-mod-IA involution

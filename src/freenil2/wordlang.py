@@ -52,7 +52,9 @@ class _Scanner:
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit also accepts superscripts, which
+        # int() rejects, and other scripts' digits, which int() reads
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)

@@ -20,6 +20,9 @@ Regenerating a corpus from the current code would only pin the code to
 itself, so the script never overwrites a corpus file: it writes the missing
 ones and leaves the others as they are.  Delete a file first to re-pin it on
 purpose.
+``tests/test_corpora.py`` rebuilds all three with the builders below and
+compares them byte for byte with the committed files, which also pins the
+samplers' draws.
 
 Elements are stored as ``[abelian, comm]``; automorphisms as the list of
 their generator images; matrices as lists of rows and lattice bases as lists

@@ -29,7 +29,8 @@ def test_01_x_witness():
     product = x1 * x2 * x3
     square = product * product
     elapsed = time.perf_counter() - start
-    ok = square != IntMatrix.identity(2) and square == IntMatrix([[5, -8], [-8, 13]])
+    ok = (product == IntMatrix([[-1, 2], [2, -3]]) and square != IntMatrix.identity(2)
+          and square == IntMatrix([[5, -8], [-8, 13]]))
     report(1, "x-witness", ok and elapsed < 0.001, f"({elapsed * 1e6:.0f}us)")
 
 
@@ -39,7 +40,8 @@ def test_02_y_witness():
     product = y1 * y2 * y3
     square = product * product
     elapsed = time.perf_counter() - start
-    ok = square != IntMatrix.identity(2) and square == IntMatrix([[1, 2], [2, 5]])
+    ok = (product == IntMatrix([[0, 1], [1, 2]]) and square != IntMatrix.identity(2)
+          and square == IntMatrix([[1, 2], [2, 5]]))
     report(2, "y-witness", ok and elapsed < 0.001, f"({elapsed * 1e6:.0f}us)")
 
 

@@ -223,8 +223,7 @@ class TestApply:
 
     def test_matches_substitution(self):
         # the closed form against multiplying the image powers out in order,
-        # on both sides of the congruence's cut-off, with and without a
-        # commutator part
+        # at ranks 2-10, with and without a commutator part
         rng = random.Random(11)
         for k in range(200):
             n = rng.randint(2, 10)
@@ -233,18 +232,22 @@ class TestApply:
             g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)], comm)
             assert ag.apply(sigma, g) == apply_by_substitution(sigma, g)
 
-    def test_power_product_and_congruence_agree(self):
-        # apply picks one of the two by rank; each is exact at every rank
+    def test_matches_compose(self):
+        # apply on each image of rho against compose's Lambda^2 M: the
+        # congruence when the image has a commutator part, the power product
+        # when it has none
         rng = random.Random(12)
         for n in range(1, 13):
             for k in range(6):
                 if n == 1:
-                    sigma = ag.lift(IntMatrix([[rng.choice((1, -1))]]))
+                    sigma, rho = (ag.lift(IntMatrix([[rng.choice((1, -1))]])) for _ in range(2))
                 else:
-                    sigma = big_automorphism(rng, n)
-                comm = [rng.randint(-10**6, 10**6) for _ in range(pair_count(n))] if k % 2 else None
-                g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)], comm)
-                assert ag._apply_by_congruence(sigma, g) == ag._apply_by_power_product(sigma, g)
+                    sigma, rho = big_automorphism(rng, n), big_automorphism(rng, n)
+                    if k % 2:
+                        rho = ag.lift(ag.abelianize(rho))
+                composed = ag.compose(sigma, rho)
+                for img, expected in zip(rho.images, composed.images):
+                    assert ag.apply(sigma, img) == expected
 
 
 class TestComposeInvert:
@@ -324,7 +327,7 @@ class TestClosedFormKernel:
             for out in (ag.apply(sigma, g), g * g, g.inverse()):
                 checked = Element(n, out.abelian, out.comm)
                 assert checked == out and hash(checked) == hash(out) and plain_ints(out)
-        # apply at rank 6 and above takes the congruence when g has a commutator part
+        # apply at larger ranks, with entries up to 10^6 in both parts
         rng = random.Random(24)
         for n in (6, 8, 11):
             g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],

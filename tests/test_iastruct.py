@@ -199,6 +199,12 @@ class TestShiftingInvolutionCriterion:
         result = ia.inversion_criterion_check(4, 3, 1, trials=20, seed=8)
         assert result.status == "pass"
 
+    def test_rejects_fewer_than_one_trial(self):
+        # zero trials would pass without checking a member
+        for trials in (0, -4):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                ia.inversion_criterion_check(3, 1, 2, trials, 0)
+
 
 class TestDecodeTriplet:
     def test_standard(self):

@@ -358,18 +358,6 @@ def padded(m: IntMatrix, n: int) -> IntMatrix:
 
 
 class TestThreeConjugatesProbe:
-    def test_x_witness_pinned(self):
-        x1, x2, x3 = inv.X_CONJUGATE_TRIPLE
-        product = x1 * x2 * x3
-        assert product == IntMatrix([[-1, 2], [2, -3]])
-        assert product * product == IntMatrix([[5, -8], [-8, 13]])
-
-    def test_y_witness_pinned(self):
-        y1, y2, y3 = inv.Y_CONJUGATE_TRIPLE
-        product = y1 * y2 * y3
-        assert product == IntMatrix([[0, 1], [1, 2]])
-        assert product * product == IntMatrix([[1, 2], [2, 5]])
-
     def test_witness_triples_are_conjugates(self):
         # each pinned conjugate is genuinely conjugate to its base involution:
         # same block type
@@ -405,3 +393,9 @@ class TestThreeConjugatesProbe:
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolution):
             inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), 1, 0)
+
+    def test_rejects_fewer_than_one_trial(self):
+        # zero trials would report no counterexample without a search
+        for trials in (0, -4):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                inv.three_conjugates_probe(ag.symmetry_standard(2), trials, 0)

@@ -50,6 +50,11 @@ class TestParseElement:
             parse_element("1*x1", 2)
         with pytest.raises(ParseError):
             parse_element("[x1 x2]", 2)
+        # ASCII digits only: not superscripts, nor other scripts' digits
+        for text, position in (("x1^\u00b2", 3), ("x\u00b2", 1), ("x1^\u0661", 3)):
+            with pytest.raises(ParseError) as err:
+                parse_element(text, 2)
+            assert err.value.position == position, text
 
     def test_index_out_of_rank(self):
         with pytest.raises(IndexOutOfRank):
