@@ -358,6 +358,18 @@ def padded(m: IntMatrix, n: int) -> IntMatrix:
 
 
 class TestThreeConjugatesProbe:
+    def test_x_witness_pinned(self):
+        x1, x2, x3 = inv.X_CONJUGATE_TRIPLE
+        product = x1 * x2 * x3
+        assert product == IntMatrix([[-1, 2], [2, -3]])
+        assert product * product == IntMatrix([[5, -8], [-8, 13]])
+
+    def test_y_witness_pinned(self):
+        y1, y2, y3 = inv.Y_CONJUGATE_TRIPLE
+        product = y1 * y2 * y3
+        assert product == IntMatrix([[0, 1], [1, 2]])
+        assert product * product == IntMatrix([[1, 2], [2, 5]])
+
     def test_witness_triples_are_conjugates(self):
         # each pinned conjugate is genuinely conjugate to its base involution:
         # same block type
