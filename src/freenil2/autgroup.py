@@ -32,7 +32,7 @@ from .errors import (
     NotUnimodular,
     RankMismatch,
 )
-from .nilcore import Element, commutator, pair_count, pair_index, pair_list
+from .nilcore import Element, pair_count, pair_index, pair_list
 from .zlinalg import IntMatrix, int_entries, inverse_unimodular, is_unimodular_matrix
 
 
@@ -78,7 +78,7 @@ class Automorphism:
 
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
-        return cls([Element.generator(rank, i) for i in range(1, rank + 1)])
+        return _signed_generators((1,) * rank)
 
     def image(self, i: int) -> Element:
         """Image of the generator x_i (1-based)."""
@@ -140,6 +140,11 @@ def apply(sigma: Automorphism, g: Element) -> Element:
 @lru_cache(maxsize=None)
 def _zero_based_pairs(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in pair_list(rank))
+
+
+def _unit(rank: int, k: int, sign: int = 1) -> tuple[int, ...]:
+    """sign * e_k as an exponent vector (0-based k)."""
+    return tuple(sign if j == k else 0 for j in range(rank))
 
 
 def _power_product(images, exponents) -> tuple[list[int], list[int]]:
@@ -206,7 +211,8 @@ def lift(matrix: IntMatrix) -> Automorphism:
     """The automorphism with the given abelianization and zero central parts."""
     if not is_unimodular_matrix(matrix):
         raise NotUnimodular(f"determinant {matrix.det()} is not +-1")
-    return Automorphism([Element(matrix.n, matrix.column(j)) for j in range(matrix.n)])
+    zero = (0,) * pair_count(matrix.n)
+    return Automorphism([Element.trusted(matrix.n, col, zero) for col in matrix.columns()])
 
 
 def _abelianizes_to_scalar(sigma: Automorphism, sign: int) -> bool:
@@ -241,7 +247,7 @@ def ia_from_offsets(rank: int, offsets) -> Automorphism:
         comm = (0,) * width if off is None else int_entries(off)
         if len(comm) != width:
             raise ValueError(f"comm part must have length {width}")
-        images.append(Element.trusted(rank, tuple(int(k == i) for k in range(rank)), comm))
+        images.append(Element.trusted(rank, _unit(rank, i), comm))
     if not images:
         raise InvalidAutomorphism("no generator images")
     if len(images) != rank:
@@ -270,11 +276,16 @@ def invert(sigma: Automorphism) -> Automorphism:
 
 def conjugation(a: Element) -> Automorphism:
     """The inner automorphism g -> a g a^-1; depends only on a mod centre.
-    In class two a x_i a^-1 = x_i [x_i, a^-1] = x_i [a, x_i]."""
-    n = a.rank
-    return ia_from_offsets(
-        n, [commutator(a, Element.generator(n, i)).comm for i in range(1, n + 1)]
-    )
+    In class two a x_i a^-1 = x_i [a, x_i], so image i is (e_i, off_i), where
+    off_i is a_p on each pair (p, i), -a_q on each pair (i, q), else 0."""
+    n, y = a.rank, a.abelian
+    if n < 1:
+        raise InvalidAutomorphism("no generator images")
+    pairs = _zero_based_pairs(n)
+    return Automorphism._trusted(tuple(
+        Element.trusted(n, _unit(n, i),
+                        tuple(y[p] if q == i else -y[q] if p == i else 0 for p, q in pairs))
+        for i in range(n)))
 
 
 def inner_witness(alpha: Automorphism) -> Element | None:
@@ -290,29 +301,34 @@ def inner_witness(alpha: Automorphism) -> Element | None:
     n = alpha.rank
     if n == 1:
         return Element.identity(1)
-    y = [0] * n
     # image n has offset +y_j on each pair (j, n); image 1 has -y_k on (1, k)
-    for j in range(1, n):
-        y[j - 1] = offsets[n - 1][pair_index(n, j, n)]
-    y[n - 1] = -offsets[0][pair_index(n, 1, n)]
-    candidate = Element(n, y)
+    y = [offsets[n - 1][pair_index(n, j, n)] for j in range(1, n)]
+    y.append(-offsets[0][pair_index(n, 1, n)])
+    candidate = Element.trusted(n, tuple(y), (0,) * pair_count(n))
     if conjugation(candidate) == alpha:
         return candidate
     return None
 
 
+def _signed_generators(signs) -> Automorphism:
+    """The automorphism sending each x_k to x_k^signs[k-1], signs all +-1."""
+    if not signs:
+        raise InvalidAutomorphism("no generator images")
+    rank, zero = len(signs), (0,) * pair_count(len(signs))
+    return Automorphism._trusted(tuple(Element.trusted(rank, _unit(rank, k, s), zero)
+                                       for k, s in enumerate(signs)))
+
+
 def symmetry_standard(rank: int) -> Automorphism:
     """Inverts every standard generator; the canonical symmetry."""
-    return Automorphism([Element.generator(rank, i).inverse() for i in range(1, rank + 1)])
+    return _signed_generators((-1,) * rank)
 
 
 def extremal_standard(rank: int, i: int) -> Automorphism:
     """Inverts x_i and fixes the other standard generators."""
     if not 1 <= i <= rank:
         raise IndexOutOfRank(f"generator index {i} outside 1..{rank}")
-    images = [Element.generator(rank, k) for k in range(1, rank + 1)]
-    images[i - 1] = images[i - 1].inverse()
-    return Automorphism(images)
+    return _signed_generators(tuple(-1 if k == i else 1 for k in range(1, rank + 1)))
 
 
 def classify_involution(sigma: Automorphism) -> InvolutionKind:

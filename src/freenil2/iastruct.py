@@ -175,7 +175,7 @@ def decode_triplet(tau: Automorphism, theta: Automorphism, taus) -> Element:
         raise NoInvertedRepresentative(
             "the central discrepancy has an odd exponent; no coset element is inverted"
         )
-    correction = Element.central(y.rank, tuple(-c // 2 for c in d.comm))
+    correction = Element.trusted(y.rank, (0,) * y.rank, tuple(-c // 2 for c in d.comm))
     result = y * correction
     if autgroup.apply(theta, result) != result.inverse():
         raise NoInvertedRepresentative("corrected representative is not inverted")

@@ -73,24 +73,20 @@ class Element:
         abelian = int_entries(abelian)
         if len(abelian) != rank:
             raise ValueError(f"abelian part must have length {rank}")
-        if comm is None:
-            comm = (0,) * pair_count(rank)
-        else:
-            comm = int_entries(comm)
-            if len(comm) != pair_count(rank):
-                raise ValueError(f"comm part must have length {pair_count(rank)}")
+        comm = (0,) * pair_count(rank) if comm is None else int_entries(comm)
+        if len(comm) != pair_count(rank):
+            raise ValueError(f"comm part must have length {pair_count(rank)}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "abelian", abelian)
         object.__setattr__(self, "comm", comm)
 
     @classmethod
     def trusted(cls, rank: int, abelian: tuple, comm: tuple) -> "Element":
-        """Construction without validation, for results that already hold
-        tuples of ints of lengths rank and pair_count(rank): products,
-        inverses and the outputs of the automorphism kernel.  Nothing is
-        checked or converted, so never pass it user input: a list, a float
-        or a wrong length gives an Element that breaks equality and
-        hashing."""
+        """Unchecked construction, for values computed from ints the package
+        already holds: tuples of ints of lengths rank and pair_count(rank).
+        Input from outside is validated at the boundary, by ``Element(...)``,
+        ``Element.central`` and the parsers; a list, a float or a wrong
+        length passed here would break equality and hashing."""
         self = object.__new__(cls)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "abelian", abelian)
@@ -104,14 +100,17 @@ class Element:
 
     @classmethod
     def identity(cls, rank: int) -> "Element":
-        return cls(rank, (0,) * rank)
+        if rank < 0:
+            raise ValueError(f"abelian part must have length {rank}")
+        return cls.trusted(rank, (0,) * rank, (0,) * pair_count(rank))
 
     @classmethod
     def generator(cls, rank: int, i: int) -> "Element":
         """The generator x_i (1-based index)."""
         if not 1 <= i <= rank:
             raise IndexOutOfRank(f"generator index {i} outside 1..{rank}")
-        return cls(rank, tuple(1 if k == i - 1 else 0 for k in range(rank)))
+        return cls.trusted(rank, tuple(1 if k == i - 1 else 0 for k in range(rank)),
+                           (0,) * pair_count(rank))
 
     @classmethod
     def central(cls, rank: int, comm) -> "Element":
@@ -169,9 +168,9 @@ class Element:
         e = operator.index(exponent)
         a = self.abelian
         half = e * (e - 1) // 2
-        comm = [e * c - half * a[i - 1] * a[j - 1]
-                for c, (i, j) in zip(self.comm, pair_list(self.rank))]
-        return Element(self.rank, [e * x for x in a], comm)
+        comm = tuple(e * c - half * a[i - 1] * a[j - 1]
+                     for c, (i, j) in zip(self.comm, pair_list(self.rank)))
+        return Element.trusted(self.rank, tuple(e * x for x in a), comm)
 
     def __eq__(self, other) -> bool:
         return (
@@ -193,11 +192,8 @@ def commutator(g: Element, h: Element) -> Element:
     if g.rank != h.rank:
         raise RankMismatch(f"ranks {g.rank} and {h.rank} differ")
     a, b = g.abelian, h.abelian
-    comm = []
-    for i in range(g.rank):
-        for j in range(i + 1, g.rank):
-            comm.append(a[i] * b[j] - a[j] * b[i])
-    return Element.central(g.rank, comm)
+    comm = tuple(a[i - 1] * b[j - 1] - a[j - 1] * b[i - 1] for i, j in pair_list(g.rank))
+    return Element.trusted(g.rank, (0,) * g.rank, comm)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,9 @@ from .zlinalg import IntMatrix, is_unimodular_vector
 
 
 def random_element(rng: random.Random, n: int, bound: int = 2) -> Element:
-    return Element(
-        n,
-        [rng.randint(-bound, bound) for _ in range(n)],
-        [rng.randint(-bound, bound) for _ in range(pair_count(n))],
-    )
+    abelian = tuple([rng.randint(-bound, bound) for _ in range(n)])
+    comm = tuple([rng.randint(-bound, bound) for _ in range(pair_count(n))])
+    return Element.trusted(n, abelian, comm)
 
 
 def random_ia_on_supports(rng: random.Random, rank: int, supports, bound: int = 2,

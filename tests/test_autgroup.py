@@ -105,6 +105,27 @@ def plain_ints(g):
             and all(type(x) is int for x in g.abelian + g.comm))
 
 
+def assert_matches_checked(out):
+    """An unchecked result equals and hashes as its validated construction,
+    and holds plain int tuples: equality and hashing compare tuples, so a
+    list or a bool would break them."""
+    if isinstance(out, Automorphism):
+        checked = Automorphism([Element(img.rank, img.abelian, img.comm) for img in out.images])
+        assert type(out.images) is tuple and out.rank == len(out.images)
+        assert all(plain_ints(img) for img in out.images)
+    else:
+        checked = Element(out.rank, out.abelian, out.comm)
+        assert plain_ints(out)
+    assert checked == out and hash(checked) == hash(out)
+
+
+def conjugation_by_products(a):
+    """Oracle for ``conjugation``: the images a x_i a^-1, from Element * and
+    inverse() alone, with each x_i built by the validating constructor."""
+    n, a_inv = a.rank, a.inverse()
+    return tuple(a * Element(n, [int(k == i) for k in range(n)]) * a_inv for i in range(n))
+
+
 class TestConstruction:
     def test_identity(self):
         sigma = Automorphism(
@@ -315,26 +336,36 @@ class TestClosedFormKernel:
             assert ag.compose(inverse, sigma) == Automorphism.identity(n)
 
     def test_unchecked_results_match_checked_construction(self):
-        # equality and hashing compare tuples, so unchecked results must hold
-        # exactly what the checked constructors would have stored
+        # every result the package builds unchecked, against its validated
+        # construction (assert_matches_checked)
         for rng, n, sigma in self.cases(23, count=30):
             g = Element(n, [rng.randint(-9, 9) for _ in range(n)],
                         [rng.randint(-9, 9) for _ in range(n * (n - 1) // 2)])
-            for out in (ag.compose(sigma, big_automorphism(rng, n)), ag.invert(sigma)):
-                checked = Automorphism(list(out.images))
-                assert checked == out and hash(checked) == hash(out)
-                assert out.rank == n and all(plain_ints(img) for img in out.images)
-            for out in (ag.apply(sigma, g), g * g, g.inverse()):
-                checked = Element(n, out.abelian, out.comm)
-                assert checked == out and hash(checked) == hash(out) and plain_ints(out)
+            h, i = random_element(rng, n, bound=10**6), rng.randint(1, n)
+            tau = ag.conjugation(g)
+            taus = [ag.conjugation(Element.generator(n, k)) for k in range(1, n + 1)]
+            beta = random_ia(rng, n)
+            theta = ag.compose(ag.symmetry_standard(n), ag.compose(beta, beta))
+            for out in (ag.compose(sigma, big_automorphism(rng, n)), ag.invert(sigma), tau,
+                        ag.lift(ag.abelianize(sigma)), ag.symmetry_standard(n),
+                        ag.extremal_standard(n, i), Automorphism.identity(n),
+                        ag.apply(sigma, g), g * g, g.inverse(), g ** rng.randint(-10**6, 10**6),
+                        commutator(g, h), h, Element.generator(n, i), Element.identity(n),
+                        ag.inner_witness(tau), iastruct.decode_triplet(taus[i - 1], theta, taus)):
+                assert out.rank == n
+                assert_matches_checked(out)
+        # rank 1, which has no pairs, and the empty identity
+        for out in (ag.conjugation(Element(1, (7,))), ag.lift(IntMatrix([[-1]])),
+                    ag.symmetry_standard(1), ag.extremal_standard(1, 1),
+                    ag.inner_witness(Automorphism.identity(1)), Element.generator(1, 1) ** -3,
+                    commutator(Element(1, (2,)), Element(1, (3,))), Element.identity(0)):
+            assert_matches_checked(out)
         # apply at larger ranks, with entries up to 10^6 in both parts
         rng = random.Random(24)
         for n in (6, 8, 11):
             g = Element(n, [rng.randint(-10**6, 10**6) for _ in range(n)],
                         [rng.randint(-10**6, 10**6) for _ in range(pair_count(n))])
-            out = ag.apply(big_automorphism(rng, n), g)
-            checked = Element(n, out.abelian, out.comm)
-            assert checked == out and hash(checked) == hash(out) and plain_ints(out)
+            assert_matches_checked(ag.apply(big_automorphism(rng, n), g))
 
 
 class TestKernelCorpus:
@@ -507,6 +538,27 @@ class TestConjugation:
     def test_conjugation_is_ia(self):
         assert ag.is_ia(ag.conjugation(Element(3, (1, -2, 3), (0, 1, 0))))
 
+    def test_closed_form_matches_products(self):
+        rng = random.Random(12)
+        for n in range(1, 9):
+            for bound in (3, 10**6):
+                for _ in range(5):
+                    a = Element(n, [rng.randint(-bound, bound) for _ in range(n)],
+                                [rng.randint(-bound, bound) for _ in range(pair_count(n))])
+                    assert ag.conjugation(a).images == conjugation_by_products(a)
+        central = Element.central(4, [rng.randint(-10**6, 10**6) for _ in range(6)])
+        assert ag.conjugation(central).images == conjugation_by_products(central)
+        assert ag.conjugation(central) == Automorphism.identity(4)
+        # rank 1 has no pairs: every conjugation is the identity
+        assert ag.conjugation(Element(1, (10**6,))).images == (Element(1, (1,)),)
+        assert ag.conjugation(Element(3, (2, -5, 7))).images == (
+            elem("x1*[x1,x2]^5*[x1,x3]^-7", 3), elem("x2*[x1,x2]^2*[x2,x3]^-7", 3),
+            elem("x3*[x1,x3]^2*[x2,x3]^-5", 3))
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(InvalidAutomorphism, match="no generator images"):
+            ag.conjugation(Element(0, ()))
+
 
 class TestInnerWitness:
     def test_identity(self):
@@ -599,6 +651,19 @@ class TestStandardInvolutions:
         pi = ag.lift(IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))  # x_i -> x_{i+1}
         theta = ag.symmetry_standard(3)
         assert ag.compose(pi, theta) == ag.compose(theta, pi)
+
+
+    def test_empty_and_negative_ranks_rejected(self):
+        # the standard automorphisms are built unchecked, after these checks
+        for rank in (0, -2):
+            with pytest.raises(InvalidAutomorphism, match="no generator images"):
+                ag.symmetry_standard(rank)
+            with pytest.raises(InvalidAutomorphism, match="no generator images"):
+                Automorphism.identity(rank)
+        with pytest.raises(IndexOutOfRank):
+            ag.extremal_standard(0, 1)
+        with pytest.raises(IndexOutOfRank):
+            ag.extremal_standard(3, 0)
 
 
 class TestClassifyInvolution:

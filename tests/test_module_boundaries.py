@@ -1,6 +1,7 @@
 """Boundaries of the package's modules: no module uses another module's
-private (``_``) names, every public name is referenced, and every package
-error is raised."""
+private (``_``) names, the modules that read user text construct nothing
+unchecked, every public name is referenced, and every package error is
+raised."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,38 @@ def test_detector_flags_both_forms(tmp_path):
     assert sorted(cross_module_private_uses(sample)) == [
         (2, "_pair_pos"), (5, "autgroup._zero_based_pairs"), (5, "z._identity_rows"),
         (6, "Automorphism._trusted")]
+
+
+# modules that turn user text into values: they construct only through the
+# validating constructors, never through an unchecked one
+TEXT_BOUNDARY = ("wordlang.py", "cli.py")
+
+
+def unchecked_constructions(path):
+    """(line, call) of every call of a ``trusted`` or ``_trusted`` attribute
+    in the module at path."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("trusted", "_trusted")]
+
+
+def test_text_boundary_builds_nothing_unchecked():
+    offences = {name: uses for name in TEXT_BOUNDARY
+                if (uses := unchecked_constructions(PACKAGE / name))}
+    assert offences == {}
+
+
+def test_unchecked_construction_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from .nilcore import Element\n"
+                      "from . import autgroup\n"
+                      "g = Element.trusted(1, (1,), ())\n"
+                      "s = autgroup.Automorphism._trusted((g,))\n"
+                      "t = Element(1, (1,)).trusted\n"
+                      "u = trusted(g)\n")
+    assert unchecked_constructions(sample) == [
+        (3, "Element.trusted"), (4, "autgroup.Automorphism._trusted")]
 
 
 # public names that no module of the package references, kept on purpose

@@ -131,6 +131,8 @@ class TestPow:
     def test_rejects_non_integer_exponent(self):
         with pytest.raises(TypeError):
             Element.generator(2, 1) ** 2.5
+        with pytest.raises(TypeError):
+            Element.generator(2, 1) ** 2.0
 
 
 class TestConstruction:
@@ -158,6 +160,17 @@ class TestConstruction:
         for rank, abelian, comm in ((3, "123", None), (2, "-1", None), (3, (0, 0, 0), "000")):
             with pytest.raises(ValueError, match="expected a sequence of integers"):
                 Element(rank, abelian, comm)
+
+
+    def test_unchecked_constructors_keep_their_errors(self):
+        # identity and generator build their results unchecked, after these checks
+        with pytest.raises(ValueError, match="length -1"):
+            Element.identity(-1)
+        with pytest.raises(IndexOutOfRank):
+            Element.generator(0, 1)
+        with pytest.raises(IndexOutOfRank):
+            Element.generator(3, 4)
+        assert Element.identity(0) == Element(0, ())
 
 
 class TestInverse:
