@@ -7,10 +7,12 @@ conjugacy invariant; it vanishes exactly when F is diagonalizable over Z, and
 in general F admits a basis on which it acts by fixing vectors, negating
 vectors, and swapping pairs - the canonical form computed here.
 
-The counts (p, m, s) of fixed, negated and swapped blocks are read off the
-Smith form of F - I alone, which is conjugate to that of the block sum:
-diag(1^s, 2^m, 0^(p+s)).  ``plus_minus`` computes the eigenlattice bases
-themselves and is the independent route to the same counts.
+The counts (p, m, s) of fixed, negated and swapped blocks have a closed
+form.  F - I is equivalent to the block sum's diag(1^s, 2^m, 0^(p+s)) by
+unimodular U and V, which stay invertible mod 2, so s is the rank of F - I
+over F_2; the trace is a conjugacy invariant, so p - m = tr F; and
+p + m + 2s = n.  ``plus_minus`` computes the eigenlattice bases themselves
+and is the independent route to the same counts.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .zlinalg import (
     inverse_unimodular,
     kernel_rows,
     kernel_summand_basis,
-    smith_divisors,
     summand_frame,
 )
 
@@ -127,15 +128,26 @@ def plus_minus(f: IntMatrix) -> PlusMinusPair:
 
 def involution_block_type(f: IntMatrix) -> tuple[int, int, int]:
     """The counts (p, m, s) of fixed, negated and swapped blocks of an
-    involution, from the Smith divisors of F - I: s ones, m twos and p + s
-    zeros.  The defect is s, and rank A+ = p + s, rank A- = m + s."""
+    involution, in closed form: s = rank of F - I over F_2, p - m = tr F and
+    p + m + 2s = n.  The Smith form of F - I, diag(1^s, 2^m, 0^(p+s)), stays
+    so mod 2, which gives s; the trace is a conjugacy invariant.  The defect
+    is s, and rank A+ = p + s, rank A- = m + s."""
     _require_involution(f)
-    divisors = smith_divisors((f - IntMatrix.identity(f.n)).rows)
-    s, m = divisors.count(1), divisors.count(2)
-    p = divisors.count(0) - s
-    if p < 0 or p + m + 2 * s != f.n:
-        raise CanonicalizationPostconditionFailed(f"F - I has divisors {divisors}")
-    return p, m, s
+    n = f.n
+    # XOR elimination of the rows of F - I mod 2 as bitmasks (row i of F,
+    # bit i flipped), against pivots keyed by leading bit
+    pivots: dict[int, int] = {}
+    for i, row in enumerate(f.rows):
+        x = sum((e & 1) << j for j, e in enumerate(row)) ^ (1 << i)
+        while x:
+            top = x.bit_length()
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    s = len(pivots)
+    trace = sum(row[i] for i, row in enumerate(f.rows))
+    return (n - 2 * s + trace) // 2, (n - 2 * s - trace) // 2, s
 
 
 def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
@@ -167,7 +179,7 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
         return coords[:p0]
 
     def from_p_coords(coords) -> tuple[int, ...]:
-        return tuple(sum(plus_cols[i][j] * coords[j] for j in range(p0)) for i in range(n))
+        return tuple(sum(map(mul, row, coords)) for row in plus_cols)
 
     negated: list[tuple[int, ...]] = []
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -267,14 +279,10 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
     p, m = len(plus), len(minus)
     if m % 2 != 0:
         raise OddNegativeRank(f"negated rank {m} is odd")
-    block = [[0] * n for _ in range(n)]
-    for i in range(p):
-        block[i][i] = 1
-    for t in range(m // 2):
-        a = p + 2 * t
-        block[a + 1][a] = 1
-        block[a][a + 1] = -1
-    h = basis * IntMatrix(block) * basis_inv
+    # basis * (identity on P, a quarter-turn on each negated pair) moves
+    # columns: each pair (u, v) of N becomes (v, -u)
+    turned = tuple(w for t in range(0, m, 2) for w in (minus[t + 1], tuple(-x for x in minus[t])))
+    h = IntMatrix.from_columns(plus + turned) * basis_inv
     if not (h * h) == f:
         raise CanonicalizationPostconditionFailed("square root construction failed")
     return h

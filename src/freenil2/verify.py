@@ -42,6 +42,7 @@ from .zlinalg import (
     direct_complement,
     is_unimodular_matrix,
     is_unimodular_vector,
+    smith_divisors,
     smith_rows,
 )
 
@@ -285,10 +286,13 @@ def check_canonical_involution_form(rank: int, trials: _Trials) -> dict | None:
         if form.block_type() != expected:
             return dict(matrix=f.to_lists(), got=form.block_type(),
                         expected=expected)
-        divisor_type = involutions.involution_block_type(f)
-        if divisor_type != expected:
-            return dict(matrix=f.to_lists(), law="smith_divisors",
-                        got=divisor_type, expected=expected)
+        # the closed form against its oracle, the Smith divisors of F - I
+        closed = involutions.involution_block_type(f)
+        p, m, s = closed
+        divisors = smith_divisors((f - IntMatrix.identity(rank)).rows)
+        if closed != expected or divisors != [1] * s + [2] * m + [0] * (p + s):
+            return dict(matrix=f.to_lists(), law="closed_form_vs_smith_divisors",
+                        got=closed, expected=expected, divisors=divisors)
 
 
 @_check("commuting_involution_split")

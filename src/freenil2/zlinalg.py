@@ -24,6 +24,7 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 
 from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
@@ -157,9 +158,11 @@ def _eliminate(rows: list[list[int]], *, want_u=False, want_u_inv=False, want_v=
                 row[t], row[j0] = row[j0], row[t]
             if v:
                 v[t], v[j0] = v[j0], v[t]
+        # rows and columns before t are zero from t on, so each pass scans
+        # past t only
         while True:
-            for i in range(m):
-                if i != t and a[i][t] != 0:
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
                     p, q = a[t][t], a[i][t]
                     if q % p == 0:
                         f = q // p
@@ -185,8 +188,8 @@ def _eliminate(rows: list[list[int]], *, want_u=False, want_u_inv=False, want_v=
             # column t is now zero off the pivot row, so until an extended-gcd
             # step refills it a divisible column step changes only a[t][j]
             refilled = False
-            for j in range(n):
-                if j != t and a[t][j] != 0:
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
                     p, q = a[t][t], a[t][j]
                     if q % p == 0:
                         f = q // p
@@ -210,7 +213,7 @@ def _eliminate(rows: list[list[int]], *, want_u=False, want_u_inv=False, want_v=
                             v[j] = [pp * r - qq * s for s, r in zip(ct, cj)]
                         refilled = True
             # the column pass always clears row t
-            if not refilled or all(a[i][t] == 0 for i in range(m) if i != t):
+            if not refilled or not any(a[i][t] for i in range(t + 1, m)):
                 break
         # divisibility chain: pivot must divide the whole trailing block;
         # a pivot of +-1 divides everything
@@ -218,7 +221,7 @@ def _eliminate(rows: list[list[int]], *, want_u=False, want_u_inv=False, want_v=
         offender = None
         if d != 1 and d != -1:
             for i in range(t + 1, m):
-                if any(x % d for x in a[i][t + 1:]):
+                if any(map(operator.mod, a[i][t + 1:], repeat(d))):
                     offender = i
                     break
         if offender is not None:

@@ -9,6 +9,10 @@ reproduce its output exactly, since both take the same steps.
 ``unimodular_inverse_rows_reference`` reads the inverse off that Smith
 decomposition, V U, as the library did before it inverted by fraction-free
 elimination; an inverse is unique, so both must agree exactly.
+
+``block_type_by_smith_divisors`` reads the block type of an involution off
+the Smith divisors of F - I, as the library did before it took the closed
+form from the trace and the rank of F - I over F_2.
 """
 
 from freenil2.errors import NotUnimodular
@@ -139,3 +143,17 @@ def unimodular_inverse_rows_reference(rows):
     if any(d[i][i] != 1 for i in range(n)):
         raise NotUnimodular(f"matrix has elementary divisors {[d[i][i] for i in range(n)]}")
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)] for row in v]
+
+
+def block_type_by_smith_divisors(rows):
+    """(p, m, s) of an involution F, from the Smith form of F - I, which is
+    diag(1^s, 2^m, 0^(p+s)) for a block sum of p fixed, m negated and s
+    swapped blocks, and so for each of its conjugates."""
+    n = len(rows)
+    f_minus_i = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    _, d, _ = smith_rows_reference(f_minus_i)
+    divisors = [d[i][i] for i in range(n)]
+    s, m = divisors.count(1), divisors.count(2)
+    p = divisors.count(0) - s
+    assert p >= 0 and p + m + 2 * s == n, f"F - I has divisors {divisors}"
+    return p, m, s

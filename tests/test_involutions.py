@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freenil2 import autgroup as ag
 from freenil2 import involutions as inv
@@ -24,6 +26,9 @@ from freenil2.zlinalg import (
     kernel_rows,
     kernel_summand_basis,
 )
+
+from involution_strategies import BLOCK_TYPES, block_sum, conjugate, involutions
+from smith_reference import block_type_by_smith_divisors
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,9 +128,38 @@ def block_involution(rng, n, swaps):
 
 
 class TestBlockType:
-    """involution_block_type reads (p, m, s) off the Smith divisors of F - I;
-    plus_minus (eigenlattice kernels and a determinant) and the canonical
-    basis are the independent routes to the same triple."""
+    """involution_block_type gives (p, m, s) in closed form, from tr F and
+    the rank of F - I over F_2; the Smith divisors of F - I
+    (tests/smith_reference.py), plus_minus (eigenlattice kernels and a
+    determinant) and the canonical basis are the independent routes to the
+    same triple."""
+
+    @given(involutions(), st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(-2, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_smith_divisors(self, drawn, nudge):
+        """W B W^-1 at ranks 1-8, every type, entries of up to six digits;
+        then one entry nudged, which mostly leaves no involution."""
+        rows, built = drawn
+        assert inv.involution_block_type(IntMatrix(rows)) == built
+        assert block_type_by_smith_divisors(rows) == built
+        n = len(rows)
+        i, j, c = nudge
+        rows[i % n][j % n] += c
+        f = IntMatrix(rows)
+        if (f * f).is_identity():
+            assert inv.involution_block_type(f) == block_type_by_smith_divisors(rows)
+        else:
+            with pytest.raises(NotInvolution):
+                inv.involution_block_type(f)
+
+    def test_every_type_matches_smith_divisors(self):
+        rng = random.Random(17)
+        for p, m, s in BLOCK_TYPES:
+            n = p + m + 2 * s
+            steps = [(rng.randrange(n), rng.randrange(n), rng.randint(-99, 99)) for _ in range(40)]
+            (rows,) = conjugate([block_sum(p, m, s)], steps)
+            assert inv.involution_block_type(IntMatrix(rows)) == (p, m, s)
+            assert block_type_by_smith_divisors(rows) == (p, m, s)
 
     def test_examples(self):
         assert inv.involution_block_type(IntMatrix.identity(3)) == (3, 0, 0)

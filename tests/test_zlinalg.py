@@ -26,6 +26,7 @@ from freenil2.zlinalg import (
     smith_rows,
     summand_frame,
 )
+from involution_strategies import diagonalizable_pairs
 from smith_reference import smith_rows_reference, unimodular_inverse_rows_reference
 
 
@@ -493,12 +494,23 @@ def engine_inputs(draw):
     return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
 
 
+@st.composite
+def stacked_kernel_inputs(draw):
+    """The 2n x n stacks [F -+ I; G -+ I] whose kernels commuting_decomposition
+    reads, for diagonalizable involutions F and G of rank n <= 8."""
+    stacked = []
+    for f in draw(diagonalizable_pairs()):
+        e = draw(st.sampled_from((1, -1)))
+        stacked += [[x - e * (i == j) for j, x in enumerate(row)] for i, row in enumerate(f)]
+    return stacked
+
+
 class TestEngineOracle:
     """The Smith engine, which carries only the transforms its caller reads,
     against the elimination that always carries U and V in full
     (tests/smith_reference.py)."""
 
-    @given(engine_inputs())
+    @given(st.one_of(engine_inputs(), stacked_kernel_inputs()))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, rows):
         u, d, v = smith_rows_reference(rows)
