@@ -26,8 +26,9 @@ from .zlinalg import int_entries
 
 
 # Largest rank accepted from text and documents.  An element stores
-# rank*(rank-1)/2 commutator exponents and compose builds a square matrix of
-# that size, so a rank from input is bounded before anything is sized by it.
+# rank*(rank-1)/2 commutator exponents, and compose builds a square matrix of
+# that size when sigma's abelianization is not a diagonal sign matrix, so a
+# rank from input is bounded before anything is sized by it.
 MAX_RANK = 32
 
 

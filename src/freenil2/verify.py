@@ -208,10 +208,18 @@ def check_symmetry_inverts_ia(rank: int, trials: _Trials) -> dict | None:
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
         alpha = random_ia(rng, rank)
-        if autgroup.compose(theta, autgroup.compose(alpha, theta)) != autgroup.invert(alpha):
+        product, inverse = autgroup.compose(theta, alpha), autgroup.invert(alpha)
+        # theta and alpha abelianize to -I and I, so compose and invert take
+        # their diagonal-sign closed forms; apply, which has none, is the oracle
+        if product.images != tuple(autgroup.apply(theta, img) for img in alpha.images):
+            return dict(theta=format_automorphism(theta),
+                        alpha=format_automorphism(alpha), law="compose_vs_apply")
+        if any(autgroup.apply(alpha, img) != Element.generator(rank, k)
+               for k, img in enumerate(inverse.images, start=1)):
+            return dict(alpha=format_automorphism(alpha), law="invert_vs_apply")
+        if autgroup.compose(theta, autgroup.compose(alpha, theta)) != inverse:
             return dict(theta=format_automorphism(theta),
                         alpha=format_automorphism(alpha))
-        product = autgroup.compose(theta, alpha)
         if not autgroup.compose(product, product).is_identity():
             return dict(theta=format_automorphism(theta),
                         alpha=format_automorphism(alpha), law="involution")

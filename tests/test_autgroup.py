@@ -44,6 +44,12 @@ def apply_by_substitution(sigma, g):
     return out
 
 
+def compose_by_substitution(sigma, rho):
+    """Oracle for ``compose``: sigma applied to each of rho's images by
+    substitution, validated by the Automorphism constructor."""
+    return Automorphism([apply_by_substitution(sigma, img) for img in rho.images])
+
+
 def invert_by_lift_and_compose(sigma):
     """Oracle for ``invert``: lift the inverse matrix, which the Smith
     decomposition gives, observe that sigma o lift is IA, and correct by the
@@ -304,7 +310,8 @@ class TestComposeInvert:
 
 class TestClosedFormKernel:
     """compose and invert against their oracles, with entries up to 10^6:
-    compose at ranks 2-6, invert at ranks 1-8."""
+    compose at ranks 2-6, invert at ranks 1-8; and their diagonal-sign closed
+    forms at ranks 1-8, against substitution alone."""
 
     def cases(self, seed, count=60):
         rng = random.Random(seed)
@@ -334,6 +341,79 @@ class TestClosedFormKernel:
             inverse = ag.invert(sigma)
             assert ag.compose(sigma, inverse) == Automorphism.identity(n)
             assert ag.compose(inverse, sigma) == Automorphism.identity(n)
+
+    def diagonal_cases(self, seed):
+        """(rng, n, sigma) with sigma abelianizing to a diagonal sign matrix D,
+        drawn as lift(D) o alpha and as alpha o lift(D) with alpha IA: every
+        D at ranks 1-4, six random ones at each of ranks 5-8, offsets up to
+        10^6.  Built by substitution, so no closed form makes its input."""
+        rng = random.Random(seed)
+        for n in range(1, 9):
+            patterns = (itertools.product((1, -1), repeat=n) if n <= 4 else
+                        [[rng.choice((1, -1)) for _ in range(n)] for _ in range(6)])
+            for signs in patterns:
+                signed = ag.lift(IntMatrix([[d if i == j else 0 for j in range(n)]
+                                            for i, d in enumerate(signs)]))
+                alpha = random_ia(rng, n, bound=10**6)
+                yield rng, n, compose_by_substitution(signed, alpha)
+                yield rng, n, compose_by_substitution(alpha, signed)
+
+    @pytest.fixture
+    def general_path_calls(self, monkeypatch):
+        """Counts the Lambda^2 matrices built: one per compose or invert on the
+        general path, none on the diagonal-sign closed forms."""
+        calls = []
+        real = ag._lambda2
+
+        def counting(columns):
+            calls.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(ag, "_lambda2", counting)
+        return calls
+
+    def assert_compose_and_invert(self, sigma, rho):
+        n = sigma.rank
+        product = ag.compose(sigma, rho)
+        for img, out in zip(rho.images, product.images, strict=True):
+            assert out == apply_by_substitution(sigma, img)
+        inverse = ag.invert(sigma)
+        for k in range(1, n + 1):
+            x = Element.generator(n, k)
+            assert apply_by_substitution(sigma, inverse.image(k)) == x
+            assert apply_by_substitution(inverse, sigma.image(k)) == x
+        assert_matches_checked(product)
+        assert_matches_checked(inverse)
+
+    def test_diagonal_signs_closed_forms(self, general_path_calls):
+        pairs = []
+        for rng, n, sigma in self.diagonal_cases(25):
+            pairs.append((sigma, sigma))
+            if n > 1:
+                pairs.append((sigma, big_automorphism(rng, n)))
+        del general_path_calls[:]  # big_automorphism takes the general path
+        for sigma, rho in pairs:
+            self.assert_compose_and_invert(sigma, rho)
+        assert general_path_calls == []
+
+    def test_near_misses_take_general_path(self, general_path_calls):
+        # a signed swap, and a sign matrix with one shear entry: neither is
+        # diagonal, so both compose and invert build Lambda^2 once per call
+        rng = random.Random(26)
+        for n in range(2, 7):
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            swap = [[s if r == c else 0 for c in range(n)] for r, s in enumerate(signs)]
+            swap[i][i], swap[j][j], swap[i][j], swap[j][i] = 0, 0, signs[i], signs[j]
+            shear = [[s if r == c else 0 for c in range(n)] for r, s in enumerate(signs)]
+            shear[i][j] = rng.choice((1, -1)) * rng.randint(1, 10**6)
+            for matrix in (swap, shear):
+                sigma = compose_by_substitution(ag.lift(IntMatrix(matrix)),
+                                                random_ia(rng, n, bound=10**6))
+                rho = big_automorphism(rng, n)
+                del general_path_calls[:]
+                self.assert_compose_and_invert(sigma, rho)
+                assert general_path_calls == [n, n]
 
     def test_unchecked_results_match_checked_construction(self):
         # every result the package builds unchecked, against its validated

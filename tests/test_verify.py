@@ -105,3 +105,26 @@ def test_raising_check_fails_with_exception(monkeypatch, capsys, module, attr, e
     assert code == 1
     assert "result: FAIL" in out
     assert f"counterexample: {json.dumps(expected, sort_keys=True)}" in out
+
+
+def off_by_one_central(fn):
+    """fn with the first central exponent of its result's first image raised
+    by one: still an automorphism, but a wrong one."""
+    def wrapped(*args):
+        out = fn(*args)
+        first = out.images[0]
+        shifted = Element(first.rank, first.abelian, (first.comm[0] + 1,) + first.comm[1:])
+        return autgroup.Automorphism((shifted,) + out.images[1:])
+    return wrapped
+
+
+@pytest.mark.parametrize("attr, law", [("compose", "compose_vs_apply"),
+                                       ("invert", "invert_vs_apply")])
+def test_symmetry_check_compares_closed_forms_with_apply(monkeypatch, attr, law):
+    # compose(theta, alpha) and invert take the diagonal-sign closed forms
+    # there; apply is their oracle, and each law names its own counterexample
+    monkeypatch.setattr(autgroup, attr, off_by_one_central(getattr(autgroup, attr)))
+    for rank in (2, 4):
+        result = verify.CHECKS["symmetry_inverts_ia"](rank, 3, 0)
+        assert (result.status, result.trials) == ("fail", 1)
+        assert result.counterexample["law"] == law
