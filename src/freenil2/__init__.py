@@ -6,12 +6,14 @@ Modules:
   saturated kernels, direct complements, the closed-form decomposition of a
   vector into two unimodular summands).
 - ``nilcore``: group elements in normal form plus a naive rewriting oracle.
-- ``wordlang``: the group-word grammar and automorphism JSON documents.
+- ``wordlang``: the group-word grammar and every JSON document
+  (automorphisms, basis sets, matrices).
 - ``autgroup``: automorphisms, the IA subgroup, conjugations, symmetries.
 - ``involutions``: involutions of GL(n, Z), canonical bases, square roots.
 - ``iastruct``: stabilizer splitting and primitive-element decoding.
 - ``sampling``: the seeded random constructions the checks draw from.
-- ``verify``: the seeded verification suite; ``cli``: the command line.
+- ``verify``: the seeded verification suite and its result types;
+  ``cli``: the command line.
 """
 
 from .errors import (

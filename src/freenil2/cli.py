@@ -15,9 +15,15 @@ import sys
 from pathlib import Path
 
 from . import autgroup, iastruct, involutions, verify
-from .errors import FreeNil2Error, ParseError
-from .wordlang import format_automorphism, format_element, parse_automorphism, parse_element
-from .zlinalg import IntMatrix
+from .errors import FreeNil2Error
+from .wordlang import (
+    format_automorphism,
+    format_element,
+    parse_automorphism,
+    parse_basis_set,
+    parse_element,
+    parse_matrix,
+)
 
 
 def _document_text(arg: str) -> str:
@@ -25,24 +31,6 @@ def _document_text(arg: str) -> str:
     if text.startswith("{") or text.startswith("["):
         return text
     return Path(arg).read_text()
-
-
-def _load_automorphism(arg: str):
-    return parse_automorphism(_document_text(arg))
-
-
-def _load_matrix(arg: str) -> IntMatrix:
-    return IntMatrix.from_json(_document_text(arg))
-
-
-def _load_basis_set(arg: str):
-    try:
-        data = json.loads(_document_text(arg))
-    except RecursionError as exc:
-        raise ParseError("JSON document nested too deeply") from exc
-    if not isinstance(data, list):
-        raise FreeNil2Error("basis set document must be a JSON array of automorphisms")
-    return [parse_automorphism(doc) for doc in data]
 
 
 def _emit(args, human: str, payload) -> None:
@@ -79,36 +67,36 @@ def cmd_comm(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    sigma = _load_automorphism(args.automorphism)
+    sigma = parse_automorphism(_document_text(args.automorphism))
     g = parse_element(args.element, sigma.rank)
     print(format_element(autgroup.apply(sigma, g)))
     return 0
 
 
 def cmd_compose(args) -> int:
-    sigma = _load_automorphism(args.first)
-    rho = _load_automorphism(args.second)
+    sigma = parse_automorphism(_document_text(args.first))
+    rho = parse_automorphism(_document_text(args.second))
     doc = format_automorphism(autgroup.compose(sigma, rho))
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def cmd_invert_aut(args) -> int:
-    sigma = _load_automorphism(args.automorphism)
+    sigma = parse_automorphism(_document_text(args.automorphism))
     doc = format_automorphism(autgroup.invert(sigma))
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def cmd_classify(args) -> int:
-    sigma = _load_automorphism(args.automorphism)
+    sigma = parse_automorphism(_document_text(args.automorphism))
     kind = autgroup.classify_involution(sigma)
     _emit(args, kind.value, {"kind": kind.value})
     return 0
 
 
 def cmd_canon(args) -> int:
-    f = _load_matrix(args.matrix)
+    f = parse_matrix(_document_text(args.matrix))
     form = involutions.canonicalize_involution(f)
     payload = {
         "type": {"fixed": form.fixed, "negated": form.negated, "swapped": form.swapped},
@@ -123,7 +111,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_is_inner(args) -> int:
-    sigma = _load_automorphism(args.automorphism)
+    sigma = parse_automorphism(_document_text(args.automorphism))
     witness = autgroup.inner_witness(sigma)
     if witness is None:
         _emit(args, "not inner", {"inner": False})
@@ -134,7 +122,7 @@ def cmd_is_inner(args) -> int:
 
 
 def cmd_split_ia(args) -> int:
-    sigma = _load_automorphism(args.automorphism)
+    sigma = parse_automorphism(_document_text(args.automorphism))
     split = iastruct.stabilizer_split(sigma, args.generator)
     payload = {
         "plus": format_automorphism(split.plus),
@@ -145,9 +133,9 @@ def cmd_split_ia(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    tau = _load_automorphism(args.tau)
-    theta = _load_automorphism(args.theta)
-    taus = _load_basis_set(args.basis_set)
+    tau = parse_automorphism(_document_text(args.tau))
+    theta = parse_automorphism(_document_text(args.theta))
+    taus = parse_basis_set(_document_text(args.basis_set))
     decoded = iastruct.decode_triplet(tau, theta, taus)
     _emit(args, format_element(decoded), {"element": format_element(decoded)})
     return 0
@@ -254,10 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FreeNil2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FreeNil2Error, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,8 +30,6 @@ from .errors import (
     OddNegativeRank,
     RankMismatch,
 )
-from .report import ProbeResult
-from .wordlang import format_automorphism
 from .zlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -311,9 +309,10 @@ def order_three_product_pair(n: int) -> tuple[IntMatrix, IntMatrix]:
 # three-conjugates probe
 # ---------------------------------------------------------------------------
 
-def three_conjugates_probe(sigma, trials: int, seed: int) -> ProbeResult:
+def three_conjugates_probe(sigma, trials: int, seed: int):
     """Search for three conjugates of an involutive automorphism whose
-    product is not an involution.
+    product is not an involution; the first (conjugates, product) found, or
+    None.
 
     Conjugators are sampled as products of 1 to 8 elementary, permutation and
     sign generators, lifted and composed with a small IA factor.  When sigma
@@ -327,7 +326,7 @@ def three_conjugates_probe(sigma, trials: int, seed: int) -> ProbeResult:
         raise NotInvolution("automorphism does not square to the identity")
     n = sigma.rank
     rng = random.Random(seed)
-    for trial in range(trials):
+    for _ in range(trials):
         conjugates = []
         for _ in range(3):
             matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, 9))
@@ -335,12 +334,5 @@ def three_conjugates_probe(sigma, trials: int, seed: int) -> ProbeResult:
             conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
         product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
         if not autgroup.compose(product, product).is_identity():
-            return ProbeResult(
-                status="counterexample",
-                trials=trial + 1,
-                counterexample={
-                    "conjugates": [format_automorphism(c) for c in conjugates],
-                    "product": format_automorphism(product),
-                },
-            )
-    return ProbeResult(status="no_counterexample", trials=trials)
+            return tuple(conjugates), product
+    return None

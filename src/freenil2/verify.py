@@ -15,12 +15,12 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Callable
+from dataclasses import dataclass, field
 from operator import mul
 
 from . import autgroup, iastruct, involutions
 from .autgroup import Automorphism, InvolutionKind
 from .nilcore import Element, commutator, mul_fold, offset_support_split, pair_count, reduce_word
-from .report import CheckResult, VerificationReport
 from .sampling import (
     random_automorphism,
     random_element,
@@ -47,6 +47,50 @@ from .zlinalg import (
 )
 
 SUITE_VERSION = "1"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named check of the verification suite."""
+
+    name: str
+    status: str  # "pass" | "fail" | "skipped"
+    trials: int
+    counterexample: dict | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "status": self.status,
+            "trials": self.trials,
+            "counterexample": self.counterexample,
+        }
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """Full outcome of the suite; deterministic for fixed (seed, ranks, trials)."""
+
+    suite_version: str
+    rank_min: int
+    rank_max: int
+    trials: int
+    seed: int
+    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+
+    def all_passed(self) -> bool:
+        return all(c.status != "fail" for c in self.checks)
+
+    def to_json(self) -> dict:
+        return {
+            "suite_version": self.suite_version,
+            "rank_min": self.rank_min,
+            "rank_max": self.rank_max,
+            "trials": self.trials,
+            "seed": self.seed,
+            "all_passed": self.all_passed(),
+            "checks": [c.to_json() for c in sorted(self.checks, key=lambda c: c.name)],
+        }
 
 
 def _trial_rng(seed: int, name: str, rank: int, trial: int) -> random.Random:
@@ -205,6 +249,7 @@ def check_ia_abelian_torsion_free(rank: int, trials: _Trials) -> dict | None:
 
 @_check("symmetry_inverts_ia")
 def check_symmetry_inverts_ia(rank: int, trials: _Trials) -> dict | None:
+    phi = autgroup.extremal_standard(rank, 1)
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
         alpha = random_ia(rng, rank)
@@ -217,6 +262,16 @@ def check_symmetry_inverts_ia(rank: int, trials: _Trials) -> dict | None:
         if any(autgroup.apply(alpha, img) != Element.generator(rank, k)
                for k, img in enumerate(inverse.images, start=1)):
             return dict(alpha=format_automorphism(alpha), law="invert_vs_apply")
+        # eta abelianizes to diag(-1, 1, ..., 1): mixed signs, so the factors
+        # d_p * d_q and -d_k of the closed forms are not all equal there
+        eta = autgroup.compose(phi, alpha)
+        if autgroup.compose(eta, alpha).images != tuple(
+                autgroup.apply(eta, img) for img in alpha.images):
+            return dict(eta=format_automorphism(eta), alpha=format_automorphism(alpha),
+                        law="extremal_compose_vs_apply")
+        if any(autgroup.apply(eta, img) != Element.generator(rank, k)
+               for k, img in enumerate(autgroup.invert(eta).images, start=1)):
+            return dict(eta=format_automorphism(eta), law="extremal_invert_vs_apply")
         if autgroup.compose(theta, autgroup.compose(alpha, theta)) != inverse:
             return dict(theta=format_automorphism(theta),
                         alpha=format_automorphism(alpha))
@@ -275,10 +330,12 @@ def check_three_conjugates(rank: int, trials: _Trials) -> dict | None:
     # forward direction: conjugates of a symmetry-mod-IA involution
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
-        result = involutions.three_conjugates_probe(theta, 1, rng.randrange(2**32))
-        if result.found():
-            return dict(theta=format_automorphism(theta),
-                        counterexample=result.counterexample)
+        found = involutions.three_conjugates_probe(theta, 1, rng.randrange(2**32))
+        if found is not None:
+            conjugates, product = found
+            return dict(theta=format_automorphism(theta), counterexample={
+                "conjugates": [format_automorphism(c) for c in conjugates],
+                "product": format_automorphism(product)})
 
 
 @_check("canonical_involution_form")
@@ -497,9 +554,9 @@ def check_minus_inversion_criterion(rank: int, trials: _Trials) -> dict | None:
     rng = trials.rng(0)
     i = rng.randint(1, rank)
     j = rng.choice([k for k in range(1, rank + 1) if k != i])
-    inner = iastruct.inversion_criterion_check(rank, i, j, trials.count, rng.randrange(2**32))
-    trials.started = inner.trials
-    return inner.counterexample
+    trials.started, failure = iastruct.inversion_criterion_check(
+        rank, i, j, trials.count, rng.randrange(2**32))
+    return failure
 
 
 @_check("sqrt_construction")

@@ -12,17 +12,22 @@ antisymmetry.  The parsed element is the normal form of the denoted product,
 terms multiplied left to right.
 
 Automorphism documents are JSON objects {"rank": n, "images": [...]} with one
-element string per generator.  Ranks, given here or to ``parse_element``,
-must lie in 2..``nilcore.MAX_RANK``.
+element string per generator, and basis sets are JSON arrays of them.  Ranks,
+given here or to ``parse_element``, must lie in 2..``nilcore.MAX_RANK``.
+Matrix documents are JSON arrays of 1..``MAX_RANK`` rows of integers or
+decimal strings (ASCII digits with an optional sign, as in the grammar).
+Every JSON document is decoded here, by ``_json_document``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 from .errors import IndexOutOfRank, ParseError
 from .nilcore import MAX_RANK, Element, commutator, pair_list
+from .zlinalg import IntMatrix
 
 
 class _Scanner:
@@ -143,6 +148,40 @@ def format_element(g: Element) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _json_document(document):
+    """Decode a JSON text; an object already parsed passes through."""
+    if not isinstance(document, (str, bytes)):
+        return document
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON document nested too deeply") from exc
+
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_matrix(document) -> IntMatrix:
+    """Build a square matrix from a JSON array of rows (text or parsed).
+
+    Entries are integers, or decimal strings for entries too large to write
+    as JSON numbers comfortably.  More than ``MAX_RANK`` rows is a ParseError,
+    raised before any row is converted.
+    """
+    rows = _json_document(document)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("expected a JSON array of rows")
+    if len(rows) > MAX_RANK:
+        raise ParseError(f"a matrix may have at most {MAX_RANK} rows")
+    if not all(type(x) is int or (type(x) is str and _DECIMAL.fullmatch(x))
+               for row in rows for x in row):
+        raise ParseError("matrix entries must be integers or decimal strings "
+                         "(ASCII digits with an optional sign)")
+    return IntMatrix(rows)
+
+
 def parse_automorphism(document):
     """Build an automorphism from a JSON document (text or parsed object).
 
@@ -152,13 +191,7 @@ def parse_automorphism(document):
     """
     from .autgroup import Automorphism
 
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-        except RecursionError as exc:
-            raise ParseError("JSON document nested too deeply") from exc
+    document = _json_document(document)
     if not isinstance(document, dict):
         raise ParseError("automorphism document must be a JSON object")
     if "rank" not in document or "images" not in document:
@@ -171,6 +204,14 @@ def parse_automorphism(document):
             or not all(isinstance(text, str) for text in images)):
         raise ParseError(f"'images' must list exactly {rank} element strings")
     return Automorphism([parse_element(text, rank) for text in images])
+
+
+def parse_basis_set(document) -> list:
+    """Build the automorphisms of a JSON array of automorphism documents."""
+    documents = _json_document(document)
+    if not isinstance(documents, list):
+        raise ParseError("basis set document must be a JSON array of automorphisms")
+    return [parse_automorphism(doc) for doc in documents]
 
 
 def format_automorphism(sigma) -> dict:

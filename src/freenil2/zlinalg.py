@@ -20,14 +20,13 @@ standard basis vector.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
 
-from .errors import NotASummand, NotUnimodular, ParseError, ZeroVector
+from .errors import NotASummand, NotUnimodular, ZeroVector
 
 
 def int_entries(values) -> tuple[int, ...]:
@@ -326,23 +325,6 @@ class IntMatrix:
         if any(len(c) != n for c in cols):
             raise ValueError("matrix must be square")
         return cls._trusted(tuple(zip(*cols)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntMatrix":
-        """Parse the interchange format: a JSON array of rows of integers.
-
-        Decimal strings are accepted for entries too large to write as JSON
-        numbers comfortably.
-        """
-        try:
-            data = json.loads(text)
-        except RecursionError as exc:
-            raise ParseError("JSON document nested too deeply") from exc
-        if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-            raise ValueError("expected a JSON array of rows")
-        if not all(type(x) in (int, str) for row in data for x in row):
-            raise ParseError("matrix entries must be integers or decimal strings")
-        return cls([[int(x) for x in row] for row in data])
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]

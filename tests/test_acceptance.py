@@ -82,9 +82,9 @@ def test_06_three_conjugates_forward():
     for rank in range(2, 6):
         for _ in range(50):
             theta = sampling.random_symmetry_mod_ia(rng, rank)
-            result = inv.three_conjugates_probe(theta, trials=1, seed=rng.randrange(2**32))
+            found = inv.three_conjugates_probe(theta, trials=1, seed=rng.randrange(2**32))
             triples += 1
-            ok = ok and not result.found()
+            ok = ok and found is None
     report(6, "three-conjugates-forward", ok and triples >= 200, f"({triples} triples)")
 
 
@@ -154,10 +154,10 @@ def test_12_minus_inversion_criterion():
     failing_detected = 0
     ok = True
     for rank in (3, 4, 5):
-        result = ia.inversion_criterion_check(rank, 1, 2, trials=40, seed=SEED + rank)
-        ok = ok and result.status == "pass"
-        passing += result.trials
-        failing_detected += result.trials  # one constructed failing member per trial
+        ran, failure = ia.inversion_criterion_check(rank, 1, 2, trials=40, seed=SEED + rank)
+        ok = ok and failure is None
+        passing += ran
+        failing_detected += ran  # one constructed failing member per trial
     ok = ok and passing >= 100 and failing_detected >= 20
     report(12, "minus-inversion-criterion", ok,
            f"({passing} inverted members, {failing_detected} offset members)")

@@ -149,10 +149,29 @@ class TestAutomorphismCommands:
             code, _, err = run(capsys, *argv)
             assert code == 2 and "nested too deeply" in err
 
-    @pytest.mark.parametrize("matrix", ["[[{}]]", "[[null]]", "[[1.5]]", "[[true, 0], [0, 1]]"])
+    # decimal strings are ASCII digits with an optional sign, as in the
+    # element grammar: int() would read the last four
+    @pytest.mark.parametrize("matrix", ["[[{}]]", "[[null]]", "[[1.5]]", "[[true, 0], [0, 1]]",
+                                        '[["1", " 0 "], ["0", "-\u0661"]]', '[["1_0"]]',
+                                        '[["\u00b9"]]', '[["1", "0"], ["0", " -1"]]'])
     def test_non_integer_matrix_entry_exit_code(self, capsys, matrix):
-        code, _, err = run(capsys, "canon", matrix)
-        assert code == 2 and "error" in err
+        code, out, err = run(capsys, "canon", matrix)
+        assert code == 2 and out == "" and err.startswith("error: matrix entries must be")
+
+    def test_matrix_rank_bounded_by_max_rank(self, capsys):
+        code, out, _ = run(capsys, "canon", "[[-1]]")
+        assert code == 0 and "type (p, m, s) = (0, 1, 0)" in out
+        identity = [[int(i == j) for j in range(60)] for i in range(60)]
+        code, out, err = run(capsys, "canon", json.dumps(identity))
+        assert code == 2 and out == "" and f"at most {MAX_RANK} rows" in err
+
+    def test_invalid_json_message_is_shared(self, capsys):
+        # every JSON document is decoded by one loader, with one message
+        for argv in (["classify", "[1,"], ["canon", "[1,"],
+                     ["decode", "--tau", self.theta(), "--theta", self.theta(),
+                      "--basis-set", "[1,"]):
+            code, _, err = run(capsys, *argv)
+            assert (code, err) == (2, "error: invalid JSON: Expecting value (at position 3)\n")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "theta.json"

@@ -194,10 +194,8 @@ class TestShiftingInvolutionCriterion:
 
     def test_check_passes(self):
         for rank in (2, 3, 4):
-            result = ia.inversion_criterion_check(rank, 1, 2, trials=30, seed=7)
-            assert result.status == "pass"
-        result = ia.inversion_criterion_check(4, 3, 1, trials=20, seed=8)
-        assert result.status == "pass"
+            assert ia.inversion_criterion_check(rank, 1, 2, trials=30, seed=7) == (30, None)
+        assert ia.inversion_criterion_check(4, 3, 1, trials=20, seed=8) == (20, None)
 
     def test_rejects_fewer_than_one_trial(self):
         # zero trials would pass without checking a member

@@ -1,6 +1,7 @@
 """Boundaries of the package's modules: no module uses another module's
 private (``_``) names, the modules that read user text construct nothing
-unchecked, every public name is referenced, and every package error is
+unchecked, only ``wordlang`` decodes JSON, only ``verify`` builds check
+results, every public name is referenced, and every package error is
 raised."""
 
 import ast
@@ -90,6 +91,63 @@ def test_unchecked_construction_detector(tmp_path):
                       "u = trusted(g)\n")
     assert unchecked_constructions(sample) == [
         (3, "Element.trusted"), (4, "autgroup.Automorphism._trusted")]
+
+
+def json_decodes(path):
+    """(line, name) of every call of ``json.loads`` or ``json.load``, and of
+    every import of either name from ``json``, in the module at path."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.loads", "json.load"):
+            uses.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            uses += [(node.lineno, f"json.{alias.name}") for alias in node.names
+                     if alias.name in ("loads", "load")]
+    return sorted(uses)
+
+
+def test_only_wordlang_decodes_json():
+    assert json_decodes(PACKAGE / "wordlang.py")
+    offences = {p.name: uses for p in sorted(PACKAGE.glob("*.py"))
+                if p.name != "wordlang.py" and (uses := json_decodes(p))}
+    assert offences == {}
+
+
+def test_json_decode_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import json\n"
+                      "from json import load, dumps\n"
+                      "a = json.loads('[]')\n"
+                      "b = json.load(open('f'))\n"
+                      "c = json.dumps(a), json.JSONDecodeError, dumps(b)\n")
+    assert json_decodes(sample) == [(2, "json.load"), (3, "json.loads"), (4, "json.load")]
+
+
+def check_result_constructions(path):
+    """(line, call) of every call of a ``CheckResult`` name or attribute in
+    the module at path."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] == "CheckResult"]
+
+
+def test_only_verify_builds_check_results():
+    assert check_result_constructions(PACKAGE / "verify.py")
+    offences = {p.name: uses for p in sorted(PACKAGE.glob("*.py"))
+                if p.name != "verify.py" and (uses := check_result_constructions(p))}
+    assert offences == {}
+
+
+def test_check_result_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import verify\n"
+                      "from .verify import CheckResult\n"
+                      "a = CheckResult('x', 'pass', 1)\n"
+                      "b = verify.CheckResult('x', 'fail', 1, {})\n"
+                      "c = isinstance(a, CheckResult), a.to_json()\n")
+    assert check_result_constructions(sample) == [
+        (3, "CheckResult"), (4, "verify.CheckResult")]
 
 
 # public names that no module of the package references, kept on purpose

@@ -2,10 +2,13 @@ import json
 
 import pytest
 
-from freenil2 import autgroup, cli, involutions, verify
+from freenil2 import autgroup, cli, iastruct, involutions, verify
 from freenil2.errors import CanonicalizationPostconditionFailed
-from freenil2.nilcore import Element, mul_fold
-from freenil2.report import CheckResult, VerificationReport
+from freenil2.nilcore import Element, mul_fold, pair_count
+from freenil2.sampling import random_symmetry_mod_ia
+from freenil2.verify import CheckResult, VerificationReport
+from freenil2.wordlang import format_automorphism
+from freenil2.zlinalg import IntMatrix
 
 
 def test_every_check_passes_smoke():
@@ -128,3 +131,62 @@ def test_symmetry_check_compares_closed_forms_with_apply(monkeypatch, attr, law)
         result = verify.CHECKS["symmetry_inverts_ia"](rank, 3, 0)
         assert (result.status, result.trials) == ("fail", 1)
         assert result.counterexample["law"] == law
+
+
+def test_extremal_law_sees_wedge_sign_fault(monkeypatch):
+    # with d_p * d_q forced to 1, every closed form is still right for theta
+    # (all signs -1) and alpha (all +1); only the extremal eta sees the fault
+    monkeypatch.setattr(autgroup, "_wedge_signs", lambda signs: [1] * pair_count(len(signs)))
+    for rank in (2, 3, 4, 5):
+        result = verify.CHECKS["symmetry_inverts_ia"](rank, 6, 0)
+        assert (result.status, result.trials) == ("fail", 1)
+        assert result.counterexample["law"] == "extremal_compose_vs_apply"
+
+
+def wrong_on_mixed_signs(fn):
+    """fn, off by one central exponent only where its first argument does not
+    abelianize to I or -I."""
+    wrong = off_by_one_central(fn)
+
+    def wrapped(sigma, *rest):
+        m, one = autgroup.abelianize(sigma), IntMatrix.identity(sigma.rank)
+        return (fn if m in (one, -one) else wrong)(sigma, *rest)
+    return wrapped
+
+
+@pytest.mark.parametrize("attr, law", [("compose", "extremal_compose_vs_apply"),
+                                       ("invert", "extremal_invert_vs_apply")])
+def test_symmetry_check_compares_mixed_sign_closed_forms_with_apply(monkeypatch, attr, law):
+    monkeypatch.setattr(autgroup, attr, wrong_on_mixed_signs(getattr(autgroup, attr)))
+    for rank in (2, 4):
+        result = verify.CHECKS["symmetry_inverts_ia"](rank, 3, 0)
+        assert (result.status, result.trials) == ("fail", 1)
+        assert result.counterexample["law"] == law
+
+
+def test_three_conjugates_failure_is_reported_exactly(monkeypatch):
+    # pinned data only: the check formats what the probe returns
+    conjugates = (autgroup.symmetry_standard(2), autgroup.extremal_standard(2, 1),
+                  autgroup.extremal_standard(2, 2))
+    product = autgroup.compose(autgroup.compose(*conjugates[:2]), conjugates[2])
+    monkeypatch.setattr(involutions, "three_conjugates_probe",
+                        lambda sigma, trials, seed: (conjugates, product))
+    theta = random_symmetry_mod_ia(verify._trial_rng(0, "three_conjugates", 2, 0), 2)
+    assert verify.CHECKS["three_conjugates"](2, 5, 0) == CheckResult(
+        "three_conjugates", "fail", 1, {
+            "theta": format_automorphism(theta),
+            "counterexample": {
+                "conjugates": [{"rank": 2, "images": ["x1^-1", "x2^-1"]},
+                               {"rank": 2, "images": ["x1^-1", "x2"]},
+                               {"rank": 2, "images": ["x1", "x2^-1"]}],
+                "product": {"rank": 2, "images": ["x1", "x2"]},
+            }})
+
+
+def test_inversion_criterion_failure_is_reported_exactly(monkeypatch):
+    member = {"rank": 3, "images": ["x1*[x2,x3]", "x2", "x3"]}
+    monkeypatch.setattr(
+        iastruct, "inversion_criterion_check",
+        lambda rank, i, j, trials, seed: (3, {"member": member, "reason": "pinned"}))
+    assert verify.CHECKS["minus_inversion_criterion"](3, 10, 0) == CheckResult(
+        "minus_inversion_criterion", "fail", 3, {"member": member, "reason": "pinned"})

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from freenil2.autgroup import Automorphism, abelianize, is_ia
 from freenil2.errors import IndexOutOfRank, InvalidAutomorphism, ParseError
-from freenil2.nilcore import Element, pair_count
+from freenil2.nilcore import MAX_RANK, Element, pair_count
 from freenil2.wordlang import (
     format_automorphism,
     format_element,
     parse_automorphism,
+    parse_basis_set,
     parse_element,
+    parse_matrix,
 )
 from freenil2.zlinalg import IntMatrix
 
@@ -118,7 +120,7 @@ class TestParseAutomorphism:
         assert is_ia(sigma)
 
     def test_document_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"invalid JSON: Expecting value \(at position 0\)"):
             parse_automorphism("not json")
         with pytest.raises(ParseError):
             parse_automorphism({"rank": 2})
@@ -134,3 +136,60 @@ class TestParseAutomorphism:
         doc = format_automorphism(sigma)
         again = parse_automorphism(json.dumps(doc))
         assert again == sigma
+
+
+class TestParseMatrix:
+    def test_plain_rows(self):
+        m = parse_matrix("[[1, 2], [3, 4]]")
+        assert m == IntMatrix([[1, 2], [3, 4]])
+
+    def test_decimal_strings_for_large_entries(self):
+        big = 10**30
+        m = parse_matrix(f'[["{big}", 1], [0, "-{big}"]]')
+        assert m.rows[0][0] == big and m.rows[1][1] == -big
+
+    def test_rejects_non_rows(self):
+        with pytest.raises(ValueError):
+            parse_matrix('{"rows": []}')
+        with pytest.raises(ValueError):
+            parse_matrix("[[1, 2], [3]]")
+
+    @pytest.mark.parametrize("entry", [" 0 ", "0 ", "1_0", "-\u0661", "\u0661", "\u00b9",
+                                       "", "-", "+-1", "0x1", "1e3", "1\n"])
+    def test_decimal_strings_are_ascii_digits_with_an_optional_sign(self, entry):
+        # int() accepts whitespace, underscores and other scripts' digits;
+        # the grammar's integers do not
+        with pytest.raises(ParseError, match="decimal strings"):
+            parse_matrix(json.dumps([["1", "0"], ["0", entry]]))
+
+    def test_signed_decimal_strings(self):
+        assert parse_matrix('[["+1", "0"], ["0", "-1"]]') == IntMatrix([[1, 0], [0, -1]])
+
+    def test_rank_bounded_by_max_rank(self):
+        assert parse_matrix([[-1]]) == IntMatrix([[-1]])
+        assert parse_matrix(IntMatrix.identity(MAX_RANK).to_lists()).n == MAX_RANK
+        # the bound comes before any row is read: these rows are not even square
+        with pytest.raises(ParseError, match=f"at most {MAX_RANK} rows"):
+            parse_matrix([[1]] * (MAX_RANK + 1))
+
+    def test_json_errors(self):
+        with pytest.raises(ParseError, match=r"invalid JSON: .* \(at position 13\)"):
+            parse_matrix("[[1,0],[0,-1]")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_matrix("[" * 100_000)
+
+
+class TestParseBasisSet:
+    def test_documents(self):
+        taus = parse_basis_set('[{"rank": 2, "images": ["x1", "x2*[x1,x2]"]},'
+                               ' {"rank": 2, "images": ["x1*[x1,x2]^-1", "x2"]}]')
+        assert [format_automorphism(t)["images"] for t in taus] == [
+            ["x1", "x2*[x1,x2]"], ["x1*[x1,x2]^-1", "x2"]]
+
+    def test_errors(self):
+        with pytest.raises(ParseError, match="JSON array of automorphisms"):
+            parse_basis_set('{"rank": 2, "images": ["x1", "x2"]}')
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_basis_set("[{")
+        with pytest.raises(ParseError, match="'rank' and 'images'"):
+            parse_basis_set("[{}]")

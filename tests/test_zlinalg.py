@@ -133,23 +133,6 @@ class TestTrustedResults:
                 op(IntMatrix.identity(2), IntMatrix.identity(3))
 
 
-class TestMatrixJson:
-    def test_plain_rows(self):
-        m = IntMatrix.from_json("[[1, 2], [3, 4]]")
-        assert m == IntMatrix([[1, 2], [3, 4]])
-
-    def test_decimal_strings_for_large_entries(self):
-        big = 10**30
-        m = IntMatrix.from_json(f'[["{big}", 1], [0, "-{big}"]]')
-        assert m.rows[0][0] == big and m.rows[1][1] == -big
-
-    def test_rejects_non_rows(self):
-        with pytest.raises(ValueError):
-            IntMatrix.from_json('{"rows": []}')
-        with pytest.raises(ValueError):
-            IntMatrix.from_json("[[1, 2], [3]]")
-
-
 class TestIntegerEntries:
     def test_float_entries_rejected(self):
         # int() would truncate each of these to an integer matrix or basis
