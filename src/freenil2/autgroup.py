@@ -152,6 +152,7 @@ def _zero_based_pairs(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i - 1, j - 1) for i, j in pair_list(rank))
 
 
+@lru_cache(maxsize=None)
 def _unit(rank: int, k: int, sign: int = 1) -> tuple[int, ...]:
     """sign * e_k as an exponent vector (0-based k)."""
     return tuple(sign if j == k else 0 for j in range(rank))

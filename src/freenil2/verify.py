@@ -16,6 +16,7 @@ import hashlib
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import mul
 
 from . import autgroup, iastruct, involutions
@@ -421,6 +422,25 @@ def check_conjugation_homomorphism(rank: int, trials: _Trials) -> dict | None:
             return dict(g=format_element(g), law="kernel_is_centre")
 
 
+@lru_cache(maxsize=None)
+def _inner_system(n: int):
+    """The rank-n data of ``exact_inner_witness``: the generators, the
+    nonzero rows of L with their positions, and the first n rows of U, the
+    pivots and V of the Smith form U L V = D of those rows.  A zero row
+    carries no unknown; at rank 1 every row is zero and one is kept, so that
+    V is still n x n."""
+    gens = [Element.generator(n, i) for i in range(1, n + 1)]
+    rows = []
+    for x in gens:
+        x_inv = x.inverse()
+        columns = [x_inv * x_k * x * x_k.inverse() for x_k in gens]
+        rows += zip(*(c.abelian + c.comm for c in columns))
+    kept = [k for k, row in enumerate(rows) if any(row)] or [0]
+    rows = [rows[k] for k in kept]
+    u, d, v = smith_rows(rows)
+    return gens, kept, rows, u[:n], [d[j][j] for j in range(n)], v
+
+
 def exact_inner_witness(alpha: Automorphism) -> Element | None:
     """Oracle for ``inner_witness``: the exponent vector a with conjugation
     by x^a equal to alpha, or None when alpha is not inner.
@@ -429,26 +449,28 @@ def exact_inner_witness(alpha: Automorphism) -> Element | None:
     x_i^-1 x_k x_i x_k^-1.  Over every coordinate of every image (the abelian
     ones leave no solution unless alpha is IA) this is L a = b, with b the
     offsets x_i^-1 alpha(x_i), all from Element products alone: no code is
-    shared with conjugation, commutator or inner_witness.  It is solved
-    exactly with the Smith form U L V = D.
+    shared with conjugation, commutator or inner_witness.  L depends on the
+    rank alone and is factored once per rank (``_inner_system``); a is read
+    off the Smith form U L V = D and kept only if L a = b exactly.
     """
     n = alpha.rank
-    gens = [Element.generator(n, i) for i in range(1, n + 1)]
-    rows, b = [], []
+    gens, kept, rows, u, pivots, v = _inner_system(n)
+    b = []
     for x, img in zip(gens, alpha.images):
-        x_inv = x.inverse()
-        columns = [x_inv * x_k * x * x_k.inverse() for x_k in gens]
-        rows += zip(*(c.abelian + c.comm for c in columns))
-        offset = x_inv * img
+        offset = x.inverse() * img
         b += offset.abelian + offset.comm
-    u, d, v = smith_rows(rows)
-    ub = [sum(map(mul, row, b)) for row in u]
-    pivots = [d[j][j] for j in range(n)]
-    # D y = U b needs each pivot to divide its coordinate and the rest to vanish
-    if any(ub[n:]) or any(c % p if p else c for c, p in zip(ub, pivots)):
+    kept_b = [b[k] for k in kept]
+    ub = [sum(map(mul, row, kept_b)) for row in u]
+    # D y = U b needs each pivot to divide its coordinate
+    if any(c % p if p else c for c, p in zip(ub, pivots)):
         return None
     y = [c // p if p else 0 for c, p in zip(ub, pivots)]
-    return Element(n, [sum(map(mul, row, y)) for row in v])
+    a = [sum(map(mul, row, y)) for row in v]
+    # L a = b, with L zero off the kept rows
+    lhs = [0] * len(b)
+    for k, row in zip(kept, rows):
+        lhs[k] = sum(map(mul, row, a))
+    return Element(n, a) if lhs == b else None
 
 
 @_check("inner_witness_solver")
@@ -482,15 +504,16 @@ def check_conjugations_of_primitive_powers(rank: int, trials: _Trials) -> dict |
         complement = direct_complement(LatticeBasis(rank, [x.abelian]))
         basis = IntMatrix.from_columns([x.abelian] + list(complement.vectors))
         rho = autgroup.lift(basis)
+        rho_inv = autgroup.invert(rho)
         phi = autgroup.compose(
-            rho, autgroup.compose(autgroup.extremal_standard(rank, 1), autgroup.invert(rho))
+            rho, autgroup.compose(autgroup.extremal_standard(rank, 1), rho_inv)
         )
         if autgroup.compose(phi, autgroup.compose(tau, phi)) != autgroup.invert(tau):
             return dict(x=format_element(x), power=m, law="inverting_extremal")
         # extremal involutions inverting complement vectors commute with tau
         k = rng.randint(2, rank)
         psi = autgroup.compose(
-            rho, autgroup.compose(autgroup.extremal_standard(rank, k), autgroup.invert(rho))
+            rho, autgroup.compose(autgroup.extremal_standard(rank, k), rho_inv)
         )
         if autgroup.compose(psi, autgroup.compose(tau, psi)) != tau:
             return dict(x=format_element(x), power=m, law="commuting_extremal")

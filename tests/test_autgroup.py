@@ -20,8 +20,8 @@ from freenil2.errors import (
 from freenil2.nilcore import Element, commutator, pair_count, pair_list
 from freenil2.sampling import random_automorphism, random_element, random_ia, random_unimodular
 from freenil2.wordlang import parse_element
-from freenil2.zlinalg import IntMatrix
-from autgroup_reference import conjugation_basis_symmetry
+from freenil2.zlinalg import IntMatrix, smith_rows
+from autgroup_reference import conjugation_basis_symmetry, exact_inner_witness_reference
 from smith_reference import unimodular_inverse_rows_reference
 
 
@@ -699,6 +699,43 @@ class TestInnerWitness:
                 assert got.abelian == brute.abelian
         assert outcomes == {True, False}
         assert exact(ag.symmetry_standard(3)) is None
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_exact_oracle_matches_per_call_reference(self, rank):
+        # identity, inner, IA and (at rank 3 up) mostly not inner, and not IA
+        rng = random.Random(rank)
+        draws = 3 if rank <= 8 else 1
+        cases = [ag.conjugation(Element.identity(rank)), ag.symmetry_standard(rank)]
+        for _ in range(draws):
+            cases += [ag.conjugation(random_element(rng, rank, bound=3)),
+                      random_ia(rng, rank, 1), random_automorphism(rng, rank)]
+        outcomes = []
+        for alpha in cases:
+            got = verify.exact_inner_witness(alpha)
+            assert got == exact_inner_witness_reference(alpha)
+            outcomes.append(got is None)
+        assert outcomes[:2] == [False, True]
+        assert outcomes[2] is False
+        if rank >= 3:
+            assert outcomes[3] is True
+
+    def test_exact_oracle_factors_once_per_rank(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return smith_rows(rows)
+
+        monkeypatch.setattr(verify, "smith_rows", counting)
+        verify._inner_system.cache_clear()
+        rng = random.Random(4)
+        for _ in range(4):
+            assert verify.exact_inner_witness(ag.conjugation(random_element(rng, 4))) is not None
+            verify.exact_inner_witness(random_ia(rng, 4, 1))
+            assert verify.exact_inner_witness(ag.symmetry_standard(4)) is None
+        # the 4 * 3 nonzero rows of L: the n * n abelian rows and every
+        # central row of x_i on a pair avoiding i are zero
+        assert calls == [12]
 
     def test_exact_oracle_catches_sign_flipped_conjugation(self, monkeypatch):
         # the flipped map is still a homomorphism with kernel the centre, so

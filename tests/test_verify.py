@@ -18,6 +18,14 @@ def test_every_check_passes_smoke():
         assert result.name == name
 
 
+@pytest.mark.parametrize("rank", [12, 16])
+def test_every_check_passes_past_the_suite_cap(rank):
+    # run_suite stops at rank 8; the checks themselves run at any rank
+    for name, check in verify.CHECKS.items():
+        result = check(rank, 1, 0)
+        assert result.status == "pass", (name, result.counterexample)
+
+
 def test_run_suite_shapes_report():
     report = verify.run_suite(2, 3, 1, 0)
     names = [c.name for c in report.checks]
