@@ -26,6 +26,18 @@ with Off_sigma the matrix whose column k is the central part of sigma(x_k),
 image k of sigma o rho is (D a_k, Off_sigma a_k + Lambda^2 D c_k) for rho's
 image (a_k, c_k), and sigma^-1(x_k) = (d_k e_k, -d_k Lambda^2 D c_k) with
 c_k the central part of sigma(x_k).
+
+Automorphisms are validated at the boundary only.  ``Automorphism(...)``
+checks the count and the ranks of the images and the determinant of their
+abelianization; ``ia_from_offsets`` checks the index, entries, length and
+count of the offsets.  ``Automorphism.trusted`` checks nothing; it builds
+every result computed here (compositions, inverses, conjugations, IA
+automorphisms, symmetries and extremal involutions), the sampled IA
+automorphisms and the stabilizer split's factors.  No matrix read off
+images is re-validated either: an ``Element`` holds exactly rank ints in its
+abelian part, so once the count and the ranks are checked the columns form
+a square int matrix, and ``Automorphism(...)``, ``abelianize`` and
+``is_basis_conjugation_set`` build it with ``IntMatrix.trusted``.
 """
 
 from __future__ import annotations
@@ -67,20 +79,20 @@ class Automorphism:
             raise RankMismatch("generator images have mixed ranks")
         if len(images) != rank:
             raise InvalidAutomorphism(f"expected {rank} images, got {len(images)}")
-        matrix = IntMatrix.from_columns([img.abelian for img in images])
+        matrix = _abelian_matrix(images)
         if not is_unimodular_matrix(matrix):
             raise InvalidAutomorphism(f"abelianized determinant {matrix.det()} is not +-1")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "images", images)
+        _set_rank(self, rank)
+        _set_images(self, images)
 
     @classmethod
-    def _trusted(cls, images: tuple) -> "Automorphism":
-        """Unchecked construction, for images built in this module: a tuple
-        of images of one rank whose abelianization is unimodular by
+    def trusted(cls, images: tuple) -> "Automorphism":
+        """Unchecked construction, for images the package computes: a tuple
+        of rank images of one rank whose abelianization is unimodular by
         construction."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", len(images))
-        object.__setattr__(self, "images", images)
+        self = _new(cls)
+        _set_rank(self, len(images))
+        _set_images(self, images)
         return self
 
     def __setattr__(self, *_):
@@ -107,6 +119,17 @@ class Automorphism:
 
     def is_identity(self) -> bool:
         return is_ia(self) and not any(any(img.comm) for img in self.images)
+
+
+_new = object.__new__
+_set_rank, _set_images = (vars(Automorphism)[name].__set__ for name in Automorphism.__slots__)
+
+
+def _abelian_matrix(elements) -> IntMatrix:
+    """The matrix whose column i is the abelian part of elements[i], read off
+    unchecked: each is a tuple of rank ints by the ``Element`` invariant, and
+    every caller has checked that there are rank elements of one rank."""
+    return IntMatrix.trusted(tuple(zip(*(g.abelian for g in elements))))
 
 
 def apply(sigma: Automorphism, g: Element) -> Element:
@@ -217,7 +240,7 @@ def compose(sigma: Automorphism, rho: Automorphism) -> Automorphism:
                 if x:
                     comm = [y + x * z for y, z in zip(comm, off)]
             out.append(Element.trusted(n, tuple(map(mul, signs, a)), tuple(comm)))
-        return Automorphism._trusted(tuple(out))
+        return Automorphism.trusted(tuple(out))
     # rows, so that each image's term is one dot product per pair
     wedge_rows = _lambda2(list(zip(*(img.abelian for img in images))))
     out = []
@@ -226,12 +249,12 @@ def compose(sigma: Automorphism, rho: Automorphism) -> Automorphism:
         if any(img.comm):
             comm = [x + sum(map(mul, row, img.comm)) for x, row in zip(comm, wedge_rows)]
         out.append(Element.trusted(n, tuple(abelian), tuple(comm)))
-    return Automorphism._trusted(tuple(out))
+    return Automorphism.trusted(tuple(out))
 
 
 def abelianize(sigma: Automorphism) -> IntMatrix:
     """Induced matrix on Z^n: column i is the exponent vector of image i."""
-    return IntMatrix.from_columns([img.abelian for img in sigma.images])
+    return _abelian_matrix(sigma.images)
 
 
 def lift(matrix: IntMatrix) -> Automorphism:
@@ -295,7 +318,7 @@ def ia_from_offsets(rank: int, offsets) -> Automorphism:
         raise InvalidAutomorphism("no generator images")
     if len(images) != rank:
         raise InvalidAutomorphism(f"expected {rank} images, got {len(images)}")
-    return Automorphism._trusted(tuple(images))
+    return Automorphism.trusted(tuple(images))
 
 
 def invert(sigma: Automorphism) -> Automorphism:
@@ -317,7 +340,7 @@ def invert(sigma: Automorphism) -> Automorphism:
         for k, (d, img) in enumerate(zip(signs, sigma.images)):
             comm = tuple([-d * w * x for w, x in zip(wedge, img.comm)])
             out.append(Element.trusted(n, _unit(n, k, d), comm))
-        return Automorphism._trusted(tuple(out))
+        return Automorphism.trusted(tuple(out))
     columns = [img.abelian for img in lift(inverse_unimodular(abelianize(sigma))).images]
     wedge_rows = _lambda2(list(zip(*columns)))
     out = []
@@ -325,7 +348,7 @@ def invert(sigma: Automorphism) -> Automorphism:
         _, u = _power_product(sigma.images, m)
         comm = tuple(-sum(map(mul, row, u)) for row in wedge_rows)
         out.append(Element.trusted(sigma.rank, m, comm))
-    return Automorphism._trusted(tuple(out))
+    return Automorphism.trusted(tuple(out))
 
 
 def conjugation(a: Element) -> Automorphism:
@@ -336,7 +359,7 @@ def conjugation(a: Element) -> Automorphism:
     if n < 1:
         raise InvalidAutomorphism("no generator images")
     pairs = _zero_based_pairs(n)
-    return Automorphism._trusted(tuple(
+    return Automorphism.trusted(tuple(
         Element.trusted(n, _unit(n, i),
                         tuple(y[p] if q == i else -y[q] if p == i else 0 for p, q in pairs))
         for i in range(n)))
@@ -369,8 +392,8 @@ def _signed_generators(signs) -> Automorphism:
     if not signs:
         raise InvalidAutomorphism("no generator images")
     rank, zero = len(signs), (0,) * pair_count(len(signs))
-    return Automorphism._trusted(tuple(Element.trusted(rank, _unit(rank, k, s), zero)
-                                       for k, s in enumerate(signs)))
+    return Automorphism.trusted(tuple(Element.trusted(rank, _unit(rank, k, s), zero)
+                                      for k, s in enumerate(signs)))
 
 
 def symmetry_standard(rank: int) -> Automorphism:
@@ -419,7 +442,9 @@ def is_basis_conjugation_set(taus) -> bool:
     witnesses = _basis_set_witnesses(taus)
     if not witnesses or len(witnesses) != witnesses[0].rank:
         return False
-    return is_unimodular_matrix(IntMatrix.from_columns([w.abelian for w in witnesses]))
+    if any(w.rank != len(witnesses) for w in witnesses):
+        raise RankMismatch("basis set has mixed ranks")
+    return is_unimodular_matrix(_abelian_matrix(witnesses))
 
 
 def is_attached_symmetry(theta: Automorphism, taus) -> bool:

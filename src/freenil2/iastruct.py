@@ -79,16 +79,20 @@ def stabilizer_split(alpha: Automorphism, i: int) -> IASplit:
     offsets = autgroup.ia_offsets(alpha)
     if any(offsets[i - 1]):
         raise DoesNotFixGenerator(f"automorphism moves x{i}")
-    through, _ = offset_support_split(alpha.rank, i)
+    n = alpha.rank
+    through, _ = offset_support_split(n, i)
     through_set = set(through)
-    plus_offsets, minus_offsets = [], []
-    for off in offsets:
-        plus_offsets.append(tuple(0 if k in through_set else c for k, c in enumerate(off)))
-        minus_offsets.append(tuple(c if k in through_set else 0 for k, c in enumerate(off)))
-    return IASplit(
-        plus=autgroup.ia_from_offsets(alpha.rank, plus_offsets),
-        minus=autgroup.ia_from_offsets(alpha.rank, minus_offsets),
-    )
+    plus, minus = [], []
+    # alpha is IA, so image k is (e_k, offset_k); image k of each factor is
+    # e_k with its part of offset_k, built unchecked
+    for img in alpha.images:
+        off = img.comm
+        plus.append(Element.trusted(n, img.abelian, tuple(
+            [0 if k in through_set else c for k, c in enumerate(off)])))
+        minus.append(Element.trusted(n, img.abelian, tuple(
+            [c if k in through_set else 0 for k, c in enumerate(off)])))
+    return IASplit(plus=Automorphism.trusted(tuple(plus)),
+                   minus=Automorphism.trusted(tuple(minus)))
 
 
 def shifting_involution(rank: int, i: int, j: int) -> Automorphism:

@@ -103,6 +103,12 @@ class InvolutionCanonicalForm:
                 raise CanonicalizationPostconditionFailed(f"columns {a},{a + 1} are not swapped")
 
 
+def _column_matrix(columns) -> IntMatrix:
+    """The matrix with the given columns, unchecked: the n int tuples of
+    length n that a caller here computed from kernel vectors."""
+    return IntMatrix.trusted(tuple(zip(*columns)))
+
+
 def _require_involution(f: IntMatrix) -> None:
     if not (f * f).is_identity():
         raise NotInvolution("matrix does not square to the identity")
@@ -117,7 +123,7 @@ def plus_minus(f: IntMatrix) -> PlusMinusPair:
     vectors = plus.vectors + minus.vectors
     if len(vectors) != f.n:
         raise NotInvolution("eigenlattice ranks do not sum to the rank")
-    d = abs(IntMatrix.from_columns(vectors).det())
+    d = abs(_column_matrix(vectors).det())
     s = d.bit_length() - 1
     if d != 1 << s:
         raise CanonicalizationPostconditionFailed(f"eigenlattice index {d} is not a power of 2")
@@ -219,7 +225,7 @@ def canonicalize_involution(f: IntMatrix) -> InvolutionCanonicalForm:
     fixed_vectors = [from_p_coords(v) for v in free_coords]
     columns = fixed_vectors + negated + [v for pair in pairs for v in pair]
     form = InvolutionCanonicalForm(
-        basis=IntMatrix.from_columns(columns),
+        basis=_column_matrix(columns),
         fixed=len(fixed_vectors),
         negated=len(negated),
         swapped=len(pairs),
@@ -253,7 +259,9 @@ def is_direct_sum(bases, n: int) -> bool:
     vectors = [v for b in bases for v in b.vectors]
     if len(vectors) != n:
         return False
-    return IntMatrix.from_columns(vectors).det() in (1, -1)
+    if n < 1:
+        raise ValueError("matrix rank must be >= 1")
+    return _column_matrix(vectors).det() in (1, -1)
 
 
 def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
@@ -269,7 +277,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
     identity = IntMatrix.identity(n)
     plus = kernel_summand_basis(f - identity).vectors
     minus = kernel_summand_basis(f + identity).vectors
-    basis = IntMatrix.from_columns(plus + minus)
+    basis = _column_matrix(plus + minus)
     try:
         basis_inv = inverse_unimodular(basis)
     except NotUnimodular:
@@ -280,7 +288,7 @@ def sqrt_of_involution(f: IntMatrix) -> IntMatrix:
     # basis * (identity on P, a quarter-turn on each negated pair) moves
     # columns: each pair (u, v) of N becomes (v, -u)
     turned = tuple(w for t in range(0, m, 2) for w in (minus[t + 1], tuple(-x for x in minus[t])))
-    h = IntMatrix.from_columns(plus + turned) * basis_inv
+    h = _column_matrix(plus + turned) * basis_inv
     if not (h * h) == f:
         raise CanonicalizationPostconditionFailed("square root construction failed")
     return h

@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import add, neg
 
 from .errors import IndexOutOfRank, RankMismatch, ZeroVector
 from .zlinalg import int_entries
@@ -77,9 +78,9 @@ class Element:
         comm = (0,) * pair_count(rank) if comm is None else int_entries(comm)
         if len(comm) != pair_count(rank):
             raise ValueError(f"comm part must have length {pair_count(rank)}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "abelian", abelian)
-        object.__setattr__(self, "comm", comm)
+        _set_rank(self, rank)
+        _set_abelian(self, abelian)
+        _set_comm(self, comm)
 
     @classmethod
     def trusted(cls, rank: int, abelian: tuple, comm: tuple) -> "Element":
@@ -88,10 +89,10 @@ class Element:
         Input from outside is validated at the boundary, by ``Element(...)``,
         ``Element.central`` and the parsers; a list, a float or a wrong
         length passed here would break equality and hashing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "abelian", abelian)
-        object.__setattr__(self, "comm", comm)
+        self = _new(cls)
+        _set_rank(self, rank)
+        _set_abelian(self, abelian)
+        _set_comm(self, comm)
         return self
 
     def __setattr__(self, *_):
@@ -140,8 +141,7 @@ class Element:
         if self.rank != other.rank:
             raise RankMismatch(f"ranks {self.rank} and {other.rank} differ")
         a, b = self.abelian, other.abelian
-        abelian = tuple(x + y for x, y in zip(a, b))
-        comm = list(c + d for c, d in zip(self.comm, other.comm))
+        comm = list(map(add, self.comm, other.comm))
         k = 0
         for i in range(self.rank):
             bi = b[i]
@@ -149,11 +149,11 @@ class Element:
                 if bi:
                     comm[k] -= a[j] * bi
                 k += 1
-        return Element.trusted(self.rank, abelian, tuple(comm))
+        return Element.trusted(self.rank, tuple(map(add, a, b)), tuple(comm))
 
     def inverse(self) -> "Element":
         a = self.abelian
-        comm = list(-c for c in self.comm)
+        comm = list(map(neg, self.comm))
         k = 0
         for i in range(self.rank):
             ai = a[i]
@@ -161,7 +161,7 @@ class Element:
                 if ai:
                     comm[k] -= ai * a[j]
                 k += 1
-        return Element.trusted(self.rank, tuple(-x for x in a), tuple(comm))
+        return Element.trusted(self.rank, tuple(map(neg, a)), tuple(comm))
 
     def __pow__(self, exponent: int) -> "Element":
         """(a, c)^e = (e*a, e*c + C(e, 2) * b(a, a)) for every integer e,
@@ -169,9 +169,9 @@ class Element:
         e = operator.index(exponent)
         a = self.abelian
         half = e * (e - 1) // 2
-        comm = tuple(e * c - half * a[i - 1] * a[j - 1]
-                     for c, (i, j) in zip(self.comm, pair_list(self.rank)))
-        return Element.trusted(self.rank, tuple(e * x for x in a), comm)
+        comm = tuple([e * c - half * a[i - 1] * a[j - 1]
+                      for c, (i, j) in zip(self.comm, pair_list(self.rank))])
+        return Element.trusted(self.rank, tuple([e * x for x in a]), comm)
 
     def __eq__(self, other) -> bool:
         return (
@@ -186,6 +186,12 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element(rank={self.rank}, abelian={self.abelian}, comm={self.comm})"
+
+
+# the constructors set the slots through their member descriptors, which
+# skips the refusing ``__setattr__`` without a lookup by name
+_new = object.__new__
+_set_rank, _set_abelian, _set_comm = (vars(Element)[name].__set__ for name in Element.__slots__)
 
 
 def commutator(g: Element, h: Element) -> Element:

@@ -24,21 +24,26 @@ def random_element(rng: random.Random, n: int, bound: int = 2) -> Element:
 def random_ia_on_supports(rng: random.Random, rank: int, supports, bound: int = 2,
                           nonzero: int | None = None) -> Automorphism:
     """IA automorphism whose generator x_k has a random central offset on the
-    comm positions in ``supports[k - 1]`` and zero elsewhere.
+    comm positions in ``supports[k - 1]`` and zero elsewhere; ``supports``
+    has one entry per generator.
 
     The offset of generator ``nonzero`` (1-based) is redrawn until it is not
-    zero.
+    zero.  The images (e_k, offset_k) are built unchecked: the offsets are
+    int tuples of length pair_count(rank) by construction.
     """
+    if len(supports) != rank:
+        raise ValueError(f"expected {rank} supports, got {len(supports)}")
     npairs = pair_count(rank)
-    offsets = []
+    units = IntMatrix.identity(rank).rows
+    images = []
     for k, support in enumerate(supports, start=1):
         while True:
-            off = tuple(rng.randint(-bound, bound) if p in support else 0
-                        for p in range(npairs))
+            off = tuple([rng.randint(-bound, bound) if p in support else 0
+                         for p in range(npairs)])
             if k != nonzero or any(off):
                 break
-        offsets.append(off)
-    return autgroup.ia_from_offsets(rank, offsets)
+        images.append(Element.trusted(rank, units[k - 1], off))
+    return Automorphism.trusted(tuple(images))
 
 
 def random_ia(rng: random.Random, n: int, bound: int = 2) -> Automorphism:
@@ -93,7 +98,7 @@ def random_unimodular_word(rng: random.Random, n: int, length: int) -> tuple[Int
             for row in m:
                 row[i] = -row[i]
             m_inv[i] = [-x for x in m_inv[i]]
-    return IntMatrix(m), IntMatrix(m_inv)
+    return IntMatrix.trusted(tuple(map(tuple, m))), IntMatrix.trusted(tuple(map(tuple, m_inv)))
 
 
 def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
@@ -124,7 +129,7 @@ def random_involution_matrix(rng: random.Random, n: int, diagonalizable: bool = 
         block[a][a + 1] = 1
         block[a + 1][a] = 1
     w, w_inv = random_unimodular_word(rng, n, word_length)
-    return w * IntMatrix(block) * w_inv
+    return w * IntMatrix.trusted(tuple(map(tuple, block))) * w_inv
 
 
 def random_word(rng: random.Random, n: int, max_len: int) -> GeneratorWord:

@@ -9,10 +9,18 @@ transforms its caller reads: the divisors alone for a ``LatticeBasis`` and
 for ``smith_divisors``, D and V for a kernel, and U, U^-1 and V together for
 ``summand_frame``, which gets both a complement and coordinates on the
 completed basis from one pass.  A basis read off a decomposition is not
-decomposed again to validate it, and a matrix computed here from valid
-matrices is not validated again either.  Determinants and unimodular
-inverses, which need no Smith form, share one fraction-free (Bareiss)
-elimination.
+decomposed again to validate it.  Determinants and unimodular inverses,
+which need no Smith form, share one fraction-free (Bareiss) elimination.
+
+Matrices are validated at the boundary only.  ``IntMatrix(...)``,
+``IntMatrix.from_columns`` and ``LatticeBasis(...)`` convert and check every
+entry and the shape.  ``IntMatrix.trusted`` checks nothing; it builds every
+matrix the package computes from ints it already holds: sums, products,
+negations, identities and unimodular inverses here; sampled unimodular
+words and involutions; abelianizations, whose columns are the abelian
+tuples of ``Element``s, n ints each by that type's invariant; and the
+column matrices of eigenlattice and canonical bases, whose columns are
+kernel vectors and integer combinations of them.
 
 Matrices act on column vectors; column j of a matrix is the image of the j-th
 standard basis vector.
@@ -294,16 +302,18 @@ class IntMatrix:
             raise ValueError("matrix rank must be >= 1")
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        _set_n(self, n)
+        _set_rows(self, rows)
 
     @classmethod
-    def _trusted(cls, rows) -> "IntMatrix":
-        """Unchecked construction, for results computed in this module from
-        valid matrices: a nonempty square tuple of tuples of ints."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "rows", rows)
+    def trusted(cls, rows) -> "IntMatrix":
+        """Unchecked construction, for matrices computed from ints the
+        package already holds: a nonempty square tuple of tuples of ints.
+        Input from outside is validated by ``IntMatrix(...)``,
+        ``from_columns`` and the parsers."""
+        self = _new(cls)
+        _set_n(self, len(rows))
+        _set_rows(self, rows)
         return self
 
     def __setattr__(self, *_):
@@ -313,7 +323,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 1:
             raise ValueError("matrix rank must be >= 1")
-        return cls._trusted(_identity_tuple(n))
+        return cls.trusted(_identity_tuple(n))
 
     @classmethod
     def from_columns(cls, cols) -> "IntMatrix":
@@ -324,7 +334,7 @@ class IntMatrix:
             raise ValueError("matrix rank must be >= 1")
         if any(len(c) != n for c in cols):
             raise ValueError("matrix must be square")
-        return cls._trusted(tuple(zip(*cols)))
+        return cls.trusted(tuple(zip(*cols)))
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
@@ -339,7 +349,7 @@ class IntMatrix:
         vec = tuple(vec)
         if len(vec) != self.n:
             raise ValueError("vector length does not match matrix rank")
-        return tuple(sum(map(operator.mul, row, vec)) for row in self.rows)
+        return tuple([sum(map(operator.mul, row, vec)) for row in self.rows])
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -347,27 +357,27 @@ class IntMatrix:
         if self.n != other.n:
             raise ValueError("matrix ranks differ")
         cols = list(zip(*other.rows))
-        return IntMatrix._trusted(tuple(tuple(sum(map(operator.mul, r, c)) for c in cols)
-                                        for r in self.rows))
+        return IntMatrix.trusted(tuple([tuple([sum(map(operator.mul, r, c)) for c in cols])
+                                       for r in self.rows]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix ranks differ")
-        return IntMatrix._trusted(tuple(tuple(map(operator.add, r, s))
-                                        for r, s in zip(self.rows, other.rows)))
+        return IntMatrix.trusted(tuple(tuple(map(operator.add, r, s))
+                                       for r, s in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix ranks differ")
-        return IntMatrix._trusted(tuple(tuple(map(operator.sub, r, s))
-                                        for r, s in zip(self.rows, other.rows)))
+        return IntMatrix.trusted(tuple(tuple(map(operator.sub, r, s))
+                                       for r, s in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(map(operator.neg, r)) for r in self.rows))
+        return IntMatrix.trusted(tuple(tuple(map(operator.neg, r)) for r in self.rows))
 
     def det(self) -> int:
         return _bareiss(list(self.rows))
@@ -383,6 +393,10 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
+
+
+_new = object.__new__
+_set_n, _set_rows = (vars(IntMatrix)[name].__set__ for name in IntMatrix.__slots__)
 
 
 @dataclass(frozen=True)
@@ -428,7 +442,7 @@ class LatticeBasis:
 
 def smith_decompose(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U, V unimodular, U*M*V = D diagonal, d1 | d2 | ..."""
-    return tuple(IntMatrix._trusted(tuple(map(tuple, rows))) for rows in smith_rows(m.rows))
+    return tuple(IntMatrix.trusted(tuple(map(tuple, rows))) for rows in smith_rows(m.rows))
 
 
 def kernel_rows(rows: list[list[int]]) -> LatticeBasis:
@@ -511,7 +525,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
                 rhs = [r - f * y for r, y in zip(rhs, x[j])]
         pivot = row[k]
         x[k] = tuple(r // pivot for r in rhs)
-    return IntMatrix._trusted(tuple(x))
+    return IntMatrix.trusted(tuple(x))
 
 
 def decompose_into_unimodular(vec) -> list[tuple[int, ...]]:

@@ -838,6 +838,10 @@ class TestBasisConjugationSet:
     def test_wrong_count(self):
         assert not ag.is_basis_conjugation_set(self.standard(3)[:2])
 
+    def test_mixed_ranks_rejected(self):
+        with pytest.raises(RankMismatch):
+            ag.is_basis_conjugation_set(self.standard(2)[:1] + self.standard(3)[:1])
+
 
 class TestAttachedSymmetry:
     def standard(self, n):

@@ -11,7 +11,7 @@ from freenil2.errors import (
     NotIA,
 )
 from freenil2.nilcore import Element, pair_count
-from freenil2.sampling import random_ia
+from freenil2.sampling import random_automorphism, random_ia
 from freenil2.wordlang import parse_element
 
 
@@ -253,6 +253,28 @@ class TestDecodeTriplet:
                 if other == decoded:
                     continue
                 assert ag.apply(theta, other) != other.inverse()
+
+
+class TestCompletenessRoundTrip:
+    """gamma is rebuilt from its action Phi(alpha) = gamma o alpha o gamma^-1
+    on Aut N alone: Phi(tau_i) is conjugation by gamma(x_i), and the only
+    element of its witness coset inverted by Phi(theta) is gamma(x_i)."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_decoded_images_rebuild_gamma(self, n):
+        rng = random.Random(1000 + n)
+        taus, theta = standard_taus(n), ag.symmetry_standard(n)
+        for _ in range(40):
+            gamma = random_automorphism(rng, n)
+            gamma_inv = ag.invert(gamma)
+
+            def phi(alpha):
+                return ag.compose(ag.compose(gamma, alpha), gamma_inv)
+
+            phi_taus = [phi(tau) for tau in taus]
+            phi_theta = phi(theta)
+            images = [ia.decode_triplet(t, phi_theta, phi_taus) for t in phi_taus]
+            assert ag.Automorphism(images) == gamma
 
 
 class TestTripletsEquivalent:

@@ -1,5 +1,5 @@
 """Boundaries of the package's modules: no module uses another module's
-private (``_``) names, the modules that read user text construct nothing
+private (``_``) names, only an explicit set of modules constructs anything
 unchecked, only ``wordlang`` decodes JSON, only ``verify`` builds check
 results, every public name is referenced, and every package error is
 raised."""
@@ -55,15 +55,19 @@ def test_detector_flags_both_forms(tmp_path):
                       "from .autgroup import Automorphism\n"
                       "import freenil2.zlinalg as z\n"
                       "x = autgroup._zero_based_pairs(3) + z._identity_rows(2)\n"
-                      "y = Automorphism._trusted(x), autgroup.__name__, pair_list(2)\n")
+                      "y = Automorphism._signed(x), autgroup.__name__, pair_list(2)\n"
+                      "w = Automorphism.trusted(x), z.IntMatrix.trusted(x)\n")
     assert sorted(cross_module_private_uses(sample)) == [
         (2, "_pair_pos"), (5, "autgroup._zero_based_pairs"), (5, "z._identity_rows"),
-        (6, "Automorphism._trusted")]
+        (6, "Automorphism._signed")]
 
 
-# modules that turn user text into values: they construct only through the
-# validating constructors, never through an unchecked one
-TEXT_BOUNDARY = ("wordlang.py", "cli.py")
+# the trust boundary: the only modules that call a ``trusted`` constructor,
+# each on values it computes from ints the package already holds.  Every other
+# module, among them ``wordlang`` and ``cli``, which turn user text into
+# values, and ``verify``, constructs only through the validating constructors.
+TRUSTED_BUILDERS = {"nilcore.py", "zlinalg.py", "autgroup.py", "sampling.py",
+                    "iastruct.py", "involutions.py"}
 
 
 def unchecked_constructions(path):
@@ -75,10 +79,10 @@ def unchecked_constructions(path):
             and node.func.attr in ("trusted", "_trusted")]
 
 
-def test_text_boundary_builds_nothing_unchecked():
-    offences = {name: uses for name in TEXT_BOUNDARY
-                if (uses := unchecked_constructions(PACKAGE / name))}
-    assert offences == {}
+def test_only_the_trusted_builders_construct_unchecked():
+    builders = {p.name for p in PACKAGE.glob("*.py") if unchecked_constructions(p)}
+    assert builders == TRUSTED_BUILDERS
+    assert {"wordlang.py", "cli.py", "verify.py"}.isdisjoint(TRUSTED_BUILDERS)
 
 
 def test_unchecked_construction_detector(tmp_path):
@@ -86,11 +90,11 @@ def test_unchecked_construction_detector(tmp_path):
     sample.write_text("from .nilcore import Element\n"
                       "from . import autgroup\n"
                       "g = Element.trusted(1, (1,), ())\n"
-                      "s = autgroup.Automorphism._trusted((g,))\n"
+                      "s = autgroup.Automorphism.trusted((g,))\n"
                       "t = Element(1, (1,)).trusted\n"
                       "u = trusted(g)\n")
     assert unchecked_constructions(sample) == [
-        (3, "Element.trusted"), (4, "autgroup.Automorphism._trusted")]
+        (3, "Element.trusted"), (4, "autgroup.Automorphism.trusted")]
 
 
 def json_decodes(path):
