@@ -98,6 +98,8 @@ class Automorphism:
     def __setattr__(self, *_):
         raise AttributeError("Automorphism is immutable")
 
+    __delattr__ = __setattr__
+
     @classmethod
     def identity(cls, rank: int) -> "Automorphism":
         return _signed_generators((1,) * rank)

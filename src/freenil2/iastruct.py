@@ -11,7 +11,6 @@ centralizes it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,39 +117,32 @@ def shifting_involution(rank: int, i: int, j: int) -> Automorphism:
     return psi
 
 
-def inversion_criterion_check(rank: int, i: int, j: int, trials: int,
-                              seed: int) -> tuple[int, dict | None]:
-    """Randomized check of the inversion criterion for the minus factor.
+def inversion_criterion_check(rank: int, i: int, j: int, rng) -> dict | None:
+    """One randomized trial of the inversion criterion for the minus factor.
 
-    Conjugation by the shifting involution must invert every member of the
-    minus factor of the stabilizer of x_i, and must fail to invert members
-    that move x_i by a nontrivial central offset (such members exist for
-    rank >= 3).  Returns the trials run and the counterexample of the first
-    failure, or None.  Fewer than one trial is a ValueError, not a vacuous
-    pass.
+    Conjugation by the shifting involution must invert a member of the minus
+    factor of the stabilizer of x_i drawn from rng, and must fail to invert a
+    drawn member that moves x_i by a nontrivial central offset (such members
+    exist for rank >= 3).  Returns the counterexample of a failure, or None.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1; zero trials would pass vacuously")
-    rng = random.Random(seed)
     psi = shifting_involution(rank, i, j)
-    phi = autgroup.extremal_standard(rank, i)
-    for ran in range(1, trials + 1):
-        lam = sampling.random_minus_member(rng, rank, i)
-        if classify_wrt_extremal(lam, i) not in (PMClass.MINUS, PMClass.PLUS):
-            return ran, {"reason": "sampled member not inverted by the extremal involution"}
-        conj = autgroup.compose(autgroup.compose(psi, lam), psi)
-        if conj != autgroup.invert(lam):
-            return ran, {"member": format_automorphism(lam)}
-        if rank >= 3:
-            bad = sampling.random_inverted_member_with_offset(rng, rank, i)
-            oracle = autgroup.compose(autgroup.compose(phi, bad), phi)
-            if oracle != autgroup.invert(bad):
-                return ran, {"reason": "constructed member left the inverted set"}
-            conj_bad = autgroup.compose(autgroup.compose(psi, bad), psi)
-            if conj_bad == autgroup.invert(bad):
-                return ran, {"member": format_automorphism(bad),
-                             "reason": "nontrivial offset member was inverted"}
-    return trials, None
+    lam = sampling.random_minus_member(rng, rank, i)
+    if classify_wrt_extremal(lam, i) not in (PMClass.MINUS, PMClass.PLUS):
+        return {"reason": "sampled member not inverted by the extremal involution"}
+    conj = autgroup.compose(autgroup.compose(psi, lam), psi)
+    if conj != autgroup.invert(lam):
+        return {"member": format_automorphism(lam)}
+    if rank >= 3:
+        bad = sampling.random_inverted_member_with_offset(rng, rank, i)
+        phi = autgroup.extremal_standard(rank, i)
+        oracle = autgroup.compose(autgroup.compose(phi, bad), phi)
+        if oracle != autgroup.invert(bad):
+            return {"reason": "constructed member left the inverted set"}
+        conj_bad = autgroup.compose(autgroup.compose(psi, bad), psi)
+        if conj_bad == autgroup.invert(bad):
+            return {"member": format_automorphism(bad),
+                    "reason": "nontrivial offset member was inverted"}
+    return None
 
 
 def decode_triplet(tau: Automorphism, theta: Automorphism, taus) -> Element:

@@ -17,7 +17,6 @@ and is the independent route to the same counts.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from operator import mul
 
@@ -317,30 +316,24 @@ def order_three_product_pair(n: int) -> tuple[IntMatrix, IntMatrix]:
 # three-conjugates probe
 # ---------------------------------------------------------------------------
 
-def three_conjugates_probe(sigma, trials: int, seed: int):
-    """Search for three conjugates of an involutive automorphism whose
-    product is not an involution; the first (conjugates, product) found, or
-    None.
+def three_conjugates_probe(sigma, rng):
+    """Draw three conjugates of an involutive automorphism from rng; the
+    (conjugates, product) when their product is not an involution, else None.
 
-    Conjugators are sampled as products of 1 to 8 elementary, permutation and
-    sign generators, lifted and composed with a small IA factor.  When sigma
+    Each conjugator is a product of 1 to 8 elementary, permutation and sign
+    generators, lifted and composed with a small IA factor.  When sigma
     abelianizes to -I no counterexample can exist: a product of three such
     involutions again abelianizes to -I and is therefore an involution.
-    Fewer than one trial is a ValueError, not a vacuous no-counterexample.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1; zero trials would pass vacuously")
     if not autgroup.compose(sigma, sigma).is_identity():
         raise NotInvolution("automorphism does not square to the identity")
     n = sigma.rank
-    rng = random.Random(seed)
-    for _ in range(trials):
-        conjugates = []
-        for _ in range(3):
-            matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, 9))
-            c = autgroup.compose(autgroup.lift(matrix), sampling.random_ia(rng, n, 1))
-            conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
-        product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
-        if not autgroup.compose(product, product).is_identity():
-            return tuple(conjugates), product
+    conjugates = []
+    for _ in range(3):
+        matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, 9))
+        c = autgroup.compose(autgroup.lift(matrix), sampling.random_ia(rng, n, 1))
+        conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
+    product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
+    if not autgroup.compose(product, product).is_identity():
+        return tuple(conjugates), product
     return None

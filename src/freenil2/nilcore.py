@@ -98,6 +98,8 @@ class Element:
     def __setattr__(self, *_):
         raise AttributeError("Element is immutable")
 
+    __delattr__ = __setattr__
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -4,10 +4,13 @@ Every check reruns one of the desk-scale facts the package is built on, at a
 given rank.  A check is a body registered by ``_check``, which keeps the
 determinism contract in one place: trial t draws from an rng derived from
 (seed, check name, rank, t), so reports are rerun-identical and adding checks
-never perturbs existing ones; a pass reports the trials asked for, and a
-failure at trial t reports t + 1 trials and a serialized counterexample.  A
-check that raises fails at that trial, with the exception as its
-counterexample, so the rest of the suite still runs.
+never perturbs existing ones.  ``_trial_rng`` is the only place the package
+seeds a ``random.Random``: every draw of every check, those made inside
+library functions such as the three-conjugates probe included, comes from
+its trial's rng.  A pass reports the trials asked for, and a failure at
+trial t reports t + 1 trials and a serialized counterexample.  A check that
+raises fails at that trial, with the exception as its counterexample, so
+the rest of the suite still runs.
 """
 
 from __future__ import annotations
@@ -107,13 +110,10 @@ class _Trials:
         self.seed, self.name, self.rank, self.count = seed, name, rank, count
         self.started = 0
 
-    def rng(self, trial: int) -> random.Random:
-        return _trial_rng(self.seed, self.name, self.rank, trial)
-
     def __iter__(self):
         for t in range(self.count):
             self.started = t + 1
-            yield self.rng(t)
+            yield _trial_rng(self.seed, self.name, self.rank, t)
 
 
 CHECKS: dict[str, Callable[[int, int, int], CheckResult]] = {}
@@ -331,7 +331,7 @@ def check_three_conjugates(rank: int, trials: _Trials) -> dict | None:
     # forward direction: conjugates of a symmetry-mod-IA involution
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
-        found = involutions.three_conjugates_probe(theta, 1, rng.randrange(2**32))
+        found = involutions.three_conjugates_probe(theta, rng)
         if found is not None:
             conjugates, product = found
             return dict(theta=format_automorphism(theta), counterexample={
@@ -573,13 +573,12 @@ def check_stabilizer_split(rank: int, trials: _Trials) -> dict | None:
 
 @_check("minus_inversion_criterion")
 def check_minus_inversion_criterion(rank: int, trials: _Trials) -> dict | None:
-    # one draw picks (i, j) and seeds the library check, which runs the trials
-    rng = trials.rng(0)
-    i = rng.randint(1, rank)
-    j = rng.choice([k for k in range(1, rank + 1) if k != i])
-    trials.started, failure = iastruct.inversion_criterion_check(
-        rank, i, j, trials.count, rng.randrange(2**32))
-    return failure
+    for rng in trials:
+        i = rng.randint(1, rank)
+        j = rng.choice([k for k in range(1, rank + 1) if k != i])
+        failure = iastruct.inversion_criterion_check(rank, i, j, rng)
+        if failure is not None:
+            return failure
 
 
 @_check("sqrt_construction")

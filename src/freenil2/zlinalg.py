@@ -319,6 +319,8 @@ class IntMatrix:
     def __setattr__(self, *_):
         raise AttributeError("IntMatrix is immutable")
 
+    __delattr__ = __setattr__
+
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         if n < 1:

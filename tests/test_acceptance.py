@@ -82,7 +82,7 @@ def test_06_three_conjugates_forward():
     for rank in range(2, 6):
         for _ in range(50):
             theta = sampling.random_symmetry_mod_ia(rng, rank)
-            found = inv.three_conjugates_probe(theta, trials=1, seed=rng.randrange(2**32))
+            found = inv.three_conjugates_probe(theta, random.Random(rng.randrange(2**32)))
             triples += 1
             ok = ok and found is None
     report(6, "three-conjugates-forward", ok and triples >= 200, f"({triples} triples)")
@@ -154,10 +154,11 @@ def test_12_minus_inversion_criterion():
     failing_detected = 0
     ok = True
     for rank in (3, 4, 5):
-        ran, failure = ia.inversion_criterion_check(rank, 1, 2, trials=40, seed=SEED + rank)
-        ok = ok and failure is None
-        passing += ran
-        failing_detected += ran  # one constructed failing member per trial
+        rng = random.Random(SEED + rank)
+        for _ in range(40):
+            ok = ok and ia.inversion_criterion_check(rank, 1, 2, rng) is None
+            passing += 1
+            failing_detected += 1  # one constructed failing member per trial
     ok = ok and passing >= 100 and failing_detected >= 20
     report(12, "minus-inversion-criterion", ok,
            f"({passing} inverted members, {failing_detected} offset members)")

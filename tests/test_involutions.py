@@ -419,9 +419,10 @@ class TestThreeConjugatesProbe:
     def test_finds_x_and_y_counterexamples(self, base, n):
         sigma = ag.lift(padded(base, n))
         for seed in range(5):
-            # the draws do not depend on trials: within 3 trials, the same find
-            found = inv.three_conjugates_probe(sigma, 10, seed)
-            assert found is not None and inv.three_conjugates_probe(sigma, 3, seed) == found, seed
+            rng = random.Random(seed)
+            draws = (inv.three_conjugates_probe(sigma, rng) for _ in range(10))
+            found = next((d for d in draws if d is not None), None)
+            assert found is not None, seed
             conjugates, product = found
             assert len(conjugates) == 3
             assert all(ag.compose(c, c).is_identity() for c in conjugates)
@@ -433,14 +434,10 @@ class TestThreeConjugatesProbe:
         for _ in range(5):
             n = rng.randint(2, 4)
             theta = random_symmetry_mod_ia(rng, n)
-            assert inv.three_conjugates_probe(theta, 5, rng.randrange(2**30)) is None
+            probe_rng = random.Random(rng.randrange(2**30))
+            for _ in range(5):
+                assert inv.three_conjugates_probe(theta, probe_rng) is None
 
     def test_rejects_non_involution(self):
         with pytest.raises(NotInvolution):
-            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), 1, 0)
-
-    def test_rejects_fewer_than_one_trial(self):
-        # zero trials would report no counterexample without a search
-        for trials in (0, -4):
-            with pytest.raises(ValueError, match="trials must be >= 1"):
-                inv.three_conjugates_probe(ag.symmetry_standard(2), trials, 0)
+            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), random.Random(0))

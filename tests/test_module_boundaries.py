@@ -1,8 +1,8 @@
 """Boundaries of the package's modules: no module uses another module's
 private (``_``) names, only an explicit set of modules constructs anything
 unchecked, only ``wordlang`` decodes JSON, only ``verify`` builds check
-results, every public name is referenced, and every package error is
-raised."""
+results and seeds a ``random.Random``, every public name is referenced, and
+every package error is raised."""
 
 import ast
 from pathlib import Path
@@ -152,6 +152,45 @@ def test_check_result_detector(tmp_path):
                       "c = isinstance(a, CheckResult), a.to_json()\n")
     assert check_result_constructions(sample) == [
         (3, "CheckResult"), (4, "verify.CheckResult")]
+
+
+def rng_constructions(path):
+    """(line, call) of every call that constructs a ``random.Random`` in the
+    module at path: ``random.Random(...)``, through any alias of the
+    ``random`` module, or a ``Random`` imported from it."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(f"{alias.asname or alias.name}.Random" for alias in node.names
+                         if alias.name == "random")
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "Random")
+    return sorted((node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) in names)
+
+
+def test_only_verify_seeds_a_random_generator():
+    # every draw comes from a trial rng, which verify._trial_rng seeds
+    assert rng_constructions(PACKAGE / "verify.py")
+    offences = {p.name: uses for p in sorted(PACKAGE.glob("*.py"))
+                if p.name != "verify.py" and (uses := rng_constructions(p))}
+    assert offences == {}
+
+
+def test_rng_construction_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import random\n"
+                      "import random as rnd\n"
+                      "from random import Random, choice\n"
+                      "from random import Random as R\n"
+                      "a = random.Random(1), rnd.Random(2)\n"
+                      "b = Random(3), R(4)\n"
+                      "c = random.choice([a]), choice([b]), isinstance(a, Random)\n"
+                      "def f(rng: random.Random): return rng.random()\n")
+    assert rng_constructions(sample) == [
+        (5, "random.Random"), (5, "rnd.Random"), (6, "R"), (6, "Random")]
 
 
 # public names that no module of the package references, kept on purpose

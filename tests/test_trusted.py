@@ -136,3 +136,9 @@ def test_trusted_objects_behave_as_validated_ones(pair):
     with pytest.raises(AttributeError):
         trusted.extra = 1
     assert not hasattr(trusted, "__dict__")
+    # deleting a slot is refused too, and leaves the object whole
+    for obj in pair:
+        for name in type(obj).__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(obj, name)
+    assert trusted == validated and hash(trusted) == hash(validated)

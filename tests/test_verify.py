@@ -177,11 +177,12 @@ def test_three_conjugates_failure_is_reported_exactly(monkeypatch):
     conjugates = (autgroup.symmetry_standard(2), autgroup.extremal_standard(2, 1),
                   autgroup.extremal_standard(2, 2))
     product = autgroup.compose(autgroup.compose(*conjugates[:2]), conjugates[2])
-    monkeypatch.setattr(involutions, "three_conjugates_probe",
-                        lambda sigma, trials, seed: (conjugates, product))
-    theta = random_symmetry_mod_ia(verify._trial_rng(0, "three_conjugates", 2, 0), 2)
+    # the probe finds nothing at trial index 0 and the pinned pair at index 1
+    finds = iter([None, (conjugates, product)])
+    monkeypatch.setattr(involutions, "three_conjugates_probe", lambda sigma, rng: next(finds))
+    theta = random_symmetry_mod_ia(verify._trial_rng(0, "three_conjugates", 2, 1), 2)
     assert verify.CHECKS["three_conjugates"](2, 5, 0) == CheckResult(
-        "three_conjugates", "fail", 1, {
+        "three_conjugates", "fail", 2, {
             "theta": format_automorphism(theta),
             "counterexample": {
                 "conjugates": [{"rank": 2, "images": ["x1^-1", "x2^-1"]},
@@ -193,8 +194,8 @@ def test_three_conjugates_failure_is_reported_exactly(monkeypatch):
 
 def test_inversion_criterion_failure_is_reported_exactly(monkeypatch):
     member = {"rank": 3, "images": ["x1*[x2,x3]", "x2", "x3"]}
-    monkeypatch.setattr(
-        iastruct, "inversion_criterion_check",
-        lambda rank, i, j, trials, seed: (3, {"member": member, "reason": "pinned"}))
+    failures = iter([None, None, {"member": member, "reason": "pinned"}])
+    monkeypatch.setattr(iastruct, "inversion_criterion_check",
+                        lambda rank, i, j, rng: next(failures))
     assert verify.CHECKS["minus_inversion_criterion"](3, 10, 0) == CheckResult(
         "minus_inversion_criterion", "fail", 3, {"member": member, "reason": "pinned"})
