@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import autgroup, iastruct, involutions, verify
 from .errors import FreeNil2Error
+from .nilcore import commutator
 from .wordlang import (
     format_automorphism,
     format_element,
@@ -57,8 +58,6 @@ def cmd_inv(args) -> int:
 
 
 def cmd_comm(args) -> int:
-    from .nilcore import commutator
-
     result = commutator(
         parse_element(args.left, args.rank), parse_element(args.right, args.rank)
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from . import autgroup, sampling
+from . import autgroup
 from .errors import (
     CanonicalizationPostconditionFailed,
     NotDiagonalizable,
@@ -316,24 +316,21 @@ def order_three_product_pair(n: int) -> tuple[IntMatrix, IntMatrix]:
 # three-conjugates probe
 # ---------------------------------------------------------------------------
 
-def three_conjugates_probe(sigma, rng):
-    """Draw three conjugates of an involutive automorphism from rng; the
-    (conjugates, product) when their product is not an involution, else None.
+def three_conjugates_probe(sigma, conjugators):
+    """Conjugate an involutive automorphism by the three given automorphisms;
+    the (conjugates, product) when their product is not an involution, else
+    None.
 
-    Each conjugator is a product of 1 to 8 elementary, permutation and sign
-    generators, lifted and composed with a small IA factor.  When sigma
-    abelianizes to -I no counterexample can exist: a product of three such
-    involutions again abelianizes to -I and is therefore an involution.
+    When sigma abelianizes to -I no counterexample can exist: a product of
+    three such involutions again abelianizes to -I and is therefore an
+    involution.
     """
     if not autgroup.compose(sigma, sigma).is_identity():
         raise NotInvolution("automorphism does not square to the identity")
-    n = sigma.rank
-    conjugates = []
-    for _ in range(3):
-        matrix, _ = sampling.random_unimodular_word(rng, n, rng.randrange(1, 9))
-        c = autgroup.compose(autgroup.lift(matrix), sampling.random_ia(rng, n, 1))
-        conjugates.append(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c)))
-    product = autgroup.compose(autgroup.compose(conjugates[0], conjugates[1]), conjugates[2])
+    conjugates = tuple(autgroup.compose(autgroup.compose(c, sigma), autgroup.invert(c))
+                       for c in conjugators)
+    first, second, third = conjugates
+    product = autgroup.compose(autgroup.compose(first, second), third)
     if not autgroup.compose(product, product).is_identity():
-        return tuple(conjugates), product
+        return conjugates, product
     return None

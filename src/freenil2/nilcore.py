@@ -19,11 +19,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from operator import add, neg
 
-from .errors import IndexOutOfRank, RankMismatch, ZeroVector
-from .zlinalg import int_entries
+from .errors import IndexOutOfRank, RankMismatch
+from .zlinalg import int_entries, is_unimodular_vector
 
 
 # Largest rank accepted from text and documents.  An element stores
@@ -130,10 +129,9 @@ class Element:
 
     def is_primitive(self) -> bool:
         """True iff the element belongs to some basis, decided on the
-        abelianization: the exponent vector must have gcd 1."""
-        if not any(self.abelian):
-            raise ZeroVector("central elements are neither primitive nor imprimitive")
-        return gcd(*self.abelian) == 1
+        abelianization: the exponent vector must have gcd 1 (ZeroVector for a
+        central element)."""
+        return is_unimodular_vector(self.abelian)
 
     # -- group operations ----------------------------------------------------
 

@@ -1,8 +1,9 @@
-"""Seeded random constructions shared by the verification suite, the
-three-conjugates probe and the inversion-criterion check.
+"""Seeded random constructions for the verification suite.
 
 Every sampler draws only from the ``random.Random`` it is given, in a fixed
-order, so a seeded caller gets the same values on every run.
+order, so a seeded caller gets the same values on every run.  ``verify`` is
+the only module of the package that draws: the library functions it checks
+take the drawn values as arguments.
 """
 
 from __future__ import annotations
@@ -108,6 +109,13 @@ def random_unimodular(rng: random.Random, n: int) -> IntMatrix:
 
 def random_automorphism(rng: random.Random, n: int) -> Automorphism:
     return autgroup.compose(autgroup.lift(random_unimodular(rng, n)), random_ia(rng, n, 1))
+
+
+def random_conjugator(rng: random.Random, n: int) -> Automorphism:
+    """Product of 1 to 8 elementary, permutation and sign generators, lifted
+    and composed with a small IA factor."""
+    matrix, _ = random_unimodular_word(rng, n, rng.randrange(1, 9))
+    return autgroup.compose(autgroup.lift(matrix), random_ia(rng, n, 1))
 
 
 def random_symmetry_mod_ia(rng: random.Random, n: int) -> Automorphism:

@@ -5,12 +5,12 @@ given rank.  A check is a body registered by ``_check``, which keeps the
 determinism contract in one place: trial t draws from an rng derived from
 (seed, check name, rank, t), so reports are rerun-identical and adding checks
 never perturbs existing ones.  ``_trial_rng`` is the only place the package
-seeds a ``random.Random``: every draw of every check, those made inside
-library functions such as the three-conjugates probe included, comes from
-its trial's rng.  A pass reports the trials asked for, and a failure at
-trial t reports t + 1 trials and a serialized counterexample.  A check that
-raises fails at that trial, with the exception as its counterexample, so
-the rest of the suite still runs.
+seeds a ``random.Random``, and ``verify`` the only module that imports
+``sampling``: every draw comes from a trial's rng, and the library functions
+a check calls take the drawn values as arguments.  A pass reports the trials
+asked for, and a failure at trial t reports t + 1 trials and a serialized
+counterexample.  A check that raises fails at that trial, with the exception
+as its counterexample, so the rest of the suite still runs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from .autgroup import Automorphism, InvolutionKind
 from .nilcore import Element, commutator, mul_fold, offset_support_split, pair_count, reduce_word
 from .sampling import (
     random_automorphism,
+    random_conjugator,
     random_element,
     random_ia,
     random_ia_on_supports,
+    random_inverted_member_with_offset,
     random_involution_matrix,
     random_minus_member,
     random_primitive,
@@ -331,7 +333,8 @@ def check_three_conjugates(rank: int, trials: _Trials) -> dict | None:
     # forward direction: conjugates of a symmetry-mod-IA involution
     for rng in trials:
         theta = random_symmetry_mod_ia(rng, rank)
-        found = involutions.three_conjugates_probe(theta, rng)
+        found = involutions.three_conjugates_probe(
+            theta, [random_conjugator(rng, rank) for _ in range(3)])
         if found is not None:
             conjugates, product = found
             return dict(theta=format_automorphism(theta), counterexample={
@@ -576,9 +579,20 @@ def check_minus_inversion_criterion(rank: int, trials: _Trials) -> dict | None:
     for rng in trials:
         i = rng.randint(1, rank)
         j = rng.choice([k for k in range(1, rank + 1) if k != i])
-        failure = iastruct.inversion_criterion_check(rank, i, j, rng)
-        if failure is not None:
-            return failure
+        psi = iastruct.shifting_involution(rank, i, j)
+        lam = random_minus_member(rng, rank, i)
+        if iastruct.classify_wrt_extremal(lam, i) is iastruct.PMClass.NEITHER:
+            return dict(i=i, j=j, reason="sampled member not inverted by the extremal involution")
+        if not iastruct.inversion_criterion_check(psi, lam):
+            return dict(i=i, j=j, member=format_automorphism(lam))
+        if rank >= 3:
+            # inverted by the extremal involution at i, but not by psi
+            bad = random_inverted_member_with_offset(rng, rank, i)
+            if not iastruct.inversion_criterion_check(autgroup.extremal_standard(rank, i), bad):
+                return dict(i=i, j=j, reason="constructed member left the inverted set")
+            if iastruct.inversion_criterion_check(psi, bad):
+                return dict(i=i, j=j, member=format_automorphism(bad),
+                            reason="nontrivial offset member was inverted")
 
 
 @_check("sqrt_construction")

@@ -25,6 +25,7 @@ import json
 import re
 from decimal import Decimal
 
+from .autgroup import Automorphism
 from .errors import IndexOutOfRank, ParseError
 from .nilcore import MAX_RANK, Element, commutator, pair_list
 from .zlinalg import IntMatrix
@@ -189,8 +190,6 @@ def parse_automorphism(document):
     validation of the images (abelianized determinant +-1) is inherited from
     the automorphism constructor.
     """
-    from .autgroup import Automorphism
-
     document = _json_document(document)
     if not isinstance(document, dict):
         raise ParseError("automorphism document must be a JSON object")

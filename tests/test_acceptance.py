@@ -82,7 +82,9 @@ def test_06_three_conjugates_forward():
     for rank in range(2, 6):
         for _ in range(50):
             theta = sampling.random_symmetry_mod_ia(rng, rank)
-            found = inv.three_conjugates_probe(theta, random.Random(rng.randrange(2**32)))
+            probe_rng = random.Random(rng.randrange(2**32))
+            conjugators = [sampling.random_conjugator(probe_rng, rank) for _ in range(3)]
+            found = inv.three_conjugates_probe(theta, conjugators)
             triples += 1
             ok = ok and found is None
     report(6, "three-conjugates-forward", ok and triples >= 200, f"({triples} triples)")
@@ -150,16 +152,23 @@ def test_11_stabilizer_split():
 
 
 def test_12_minus_inversion_criterion():
+    # counts only what the shifting involution gets right: members of the
+    # minus factor it inverts, offset members it fails to invert
     passing = 0
     failing_detected = 0
     ok = True
     for rank in (3, 4, 5):
         rng = random.Random(SEED + rank)
+        psi = ia.shifting_involution(rank, 1, 2)
+        phi = ag.extremal_standard(rank, 1)
         for _ in range(40):
-            ok = ok and ia.inversion_criterion_check(rank, 1, 2, rng) is None
-            passing += 1
-            failing_detected += 1  # one constructed failing member per trial
-    ok = ok and passing >= 100 and failing_detected >= 20
+            lam = sampling.random_minus_member(rng, rank, 1)
+            ok = ok and ia.classify_wrt_extremal(lam, 1) in (ia.PMClass.MINUS, ia.PMClass.PLUS)
+            passing += ia.inversion_criterion_check(psi, lam)
+            bad = sampling.random_inverted_member_with_offset(rng, rank, 1)
+            ok = ok and ia.inversion_criterion_check(phi, bad)
+            failing_detected += not ia.inversion_criterion_check(psi, bad)
+    ok = ok and passing == failing_detected == 120
     report(12, "minus-inversion-criterion", ok,
            f"({passing} inverted members, {failing_detected} offset members)")
 

@@ -11,7 +11,12 @@ from freenil2.errors import (
     NotIA,
 )
 from freenil2.nilcore import Element, pair_count
-from freenil2.sampling import random_automorphism, random_ia
+from freenil2.sampling import (
+    random_automorphism,
+    random_ia,
+    random_inverted_member_with_offset,
+    random_minus_member,
+)
 from freenil2.wordlang import parse_element
 
 
@@ -196,8 +201,16 @@ class TestShiftingInvolutionCriterion:
         for rank, i, j, trials, seed in ((2, 1, 2, 30, 7), (3, 1, 2, 30, 7), (4, 1, 2, 30, 7),
                                          (4, 3, 1, 20, 8)):
             rng = random.Random(seed)
+            psi = ia.shifting_involution(rank, i, j)
+            phi = ag.extremal_standard(rank, i)
             for _ in range(trials):
-                assert ia.inversion_criterion_check(rank, i, j, rng) is None
+                lam = random_minus_member(rng, rank, i)
+                assert ia.classify_wrt_extremal(lam, i) in (ia.PMClass.MINUS, ia.PMClass.PLUS)
+                assert ia.inversion_criterion_check(psi, lam)
+                if rank >= 3:
+                    bad = random_inverted_member_with_offset(rng, rank, i)
+                    assert ia.inversion_criterion_check(phi, bad)
+                    assert not ia.inversion_criterion_check(psi, bad)
 
 
 class TestDecodeTriplet:

@@ -16,7 +16,11 @@ from freenil2.errors import (
     OddNegativeRank,
     RankMismatch,
 )
-from freenil2.sampling import random_involution_matrix, random_symmetry_mod_ia
+from freenil2.sampling import (
+    random_conjugator,
+    random_involution_matrix,
+    random_symmetry_mod_ia,
+)
 from freenil2.zlinalg import (
     IntMatrix,
     LatticeBasis,
@@ -420,7 +424,8 @@ class TestThreeConjugatesProbe:
         sigma = ag.lift(padded(base, n))
         for seed in range(5):
             rng = random.Random(seed)
-            draws = (inv.three_conjugates_probe(sigma, rng) for _ in range(10))
+            draws = (inv.three_conjugates_probe(
+                sigma, [random_conjugator(rng, n) for _ in range(3)]) for _ in range(10))
             found = next((d for d in draws if d is not None), None)
             assert found is not None, seed
             conjugates, product = found
@@ -436,8 +441,20 @@ class TestThreeConjugatesProbe:
             theta = random_symmetry_mod_ia(rng, n)
             probe_rng = random.Random(rng.randrange(2**30))
             for _ in range(5):
-                assert inv.three_conjugates_probe(theta, probe_rng) is None
+                conjugators = [random_conjugator(probe_rng, n) for _ in range(3)]
+                assert inv.three_conjugates_probe(theta, conjugators) is None
+
+    def test_pinned_conjugators_give_the_x_witness(self):
+        # C X C^-1 is the k-th member of the X triple for these C, whose
+        # columns are a (+1, -1) eigenbasis of that member
+        conjugators = [ag.lift(IntMatrix(c)) for c in
+                       ([[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 1], [1, 0]])]
+        conjugates, product = inv.three_conjugates_probe(ag.lift(inv.X_MATRIX), conjugators)
+        assert [ag.abelianize(c) for c in conjugates] == list(inv.X_CONJUGATE_TRIPLE)
+        assert ag.abelianize(product) == IntMatrix([[-1, 2], [2, -3]])
+        assert inv.three_conjugates_probe(ag.symmetry_standard(2), conjugators) is None
 
     def test_rejects_non_involution(self):
+        identity = ag.Automorphism.identity(2)
         with pytest.raises(NotInvolution):
-            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), random.Random(0))
+            inv.three_conjugates_probe(ag.lift(IntMatrix([[1, 1], [0, 1]])), [identity] * 3)

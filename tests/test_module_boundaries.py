@@ -1,8 +1,10 @@
 """Boundaries of the package's modules: no module uses another module's
 private (``_``) names, only an explicit set of modules constructs anything
 unchecked, only ``wordlang`` decodes JSON, only ``verify`` builds check
-results and seeds a ``random.Random``, every public name is referenced, and
-every package error is raised."""
+results, seeds a ``random.Random`` and imports ``sampling``, only ``verify``
+and ``cli`` import ``wordlang``, only an import that breaks a cycle is made
+inside a function, every public name is referenced, and every package error
+is raised."""
 
 import ast
 from pathlib import Path
@@ -191,6 +193,106 @@ def test_rng_construction_detector(tmp_path):
                       "def f(rng: random.Random): return rng.random()\n")
     assert rng_constructions(sample) == [
         (5, "random.Random"), (5, "rnd.Random"), (6, "R"), (6, "Random")]
+
+
+def sibling_imports(path):
+    """(line, module) of every import of a module of the package in the
+    module at path: ``from . import a``, ``from .a import x``,
+    ``import freenil2.a`` and ``from freenil2 import a`` all import ``a``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            dotted = node.module or ""
+            if not node.level:
+                package, _, dotted = dotted.partition(".")
+                if package != "freenil2":
+                    continue
+            modules = [dotted.partition(".")[0]] if dotted else [a.name for a in node.names]
+            found += [(node.lineno, module) for module in modules]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[1]) for alias in node.names
+                      if alias.name.startswith("freenil2.")]
+    return sorted(found)
+
+
+def importers(paths, module):
+    """Names of the files among paths that import the package module."""
+    return sorted(p.name for p in paths if any(m == module for _, m in sibling_imports(p)))
+
+
+def test_only_verify_imports_sampling():
+    # library functions take the values they work on; verify draws them
+    assert importers(PACKAGE.glob("*.py"), "sampling") == ["verify.py"]
+
+
+def test_only_verify_and_cli_import_wordlang():
+    # text is made and read at the edges: check reports and the command line
+    assert importers(PACKAGE.glob("*.py"), "wordlang") == ["cli.py", "verify.py"]
+
+
+def test_sibling_import_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from . import autgroup, sampling\n"
+                      "from .wordlang import format_element\n"
+                      "import freenil2.sampling as s\n"
+                      "from freenil2 import wordlang\n"
+                      "from freenil2.nilcore import Element\n"
+                      "import random, json\n"
+                      "from random import Random\n")
+    assert sibling_imports(sample) == [(1, "autgroup"), (1, "sampling"), (2, "wordlang"),
+                                       (3, "sampling"), (4, "wordlang"), (5, "nilcore")]
+    (tmp_path / "other.py").write_text("from .sampling_extra import x\nimport sampling\n")
+    (tmp_path / "late.py").write_text("def f():\n    from .wordlang import parse_element\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert importers(paths, "sampling") == ["sample.py"]
+    assert importers(paths, "wordlang") == ["late.py", "sample.py"]
+
+
+def function_level_imports(path):
+    """(line, function, statement) of every import statement inside a
+    function of the module at path, under its innermost function."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((child.lineno, function, ast.unparse(child)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+# the one import made at call time: involutions imports autgroup, so autgroup
+# can import involutions only once both modules are loaded
+LAZY_IMPORTS = {("autgroup.py", "classify_involution",
+                 "from .involutions import involution_block_type")}
+
+
+def test_only_a_cycle_breaking_import_is_made_inside_a_function():
+    found = {(p.name, function, statement) for p in sorted(PACKAGE.glob("*.py"))
+             for _, function, statement in function_level_imports(p)}
+    assert found == LAZY_IMPORTS
+    assert "autgroup" in {m for _, m in sibling_imports(PACKAGE / "involutions.py")}
+
+
+def test_function_level_import_detector(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import json\n"
+                      "def f():\n"
+                      "    from .a import b\n"
+                      "    def g():\n"
+                      "        import os\n"
+                      "    return b\n"
+                      "class C:\n"
+                      "    def m(self):\n"
+                      "        if self:\n"
+                      "            import re as r\n"
+                      "if True:\n"
+                      "    import sys\n")
+    assert function_level_imports(sample) == [
+        (3, "f", "from .a import b"), (5, "g", "import os"), (10, "m", "import re as r")]
 
 
 # public names that no module of the package references, kept on purpose

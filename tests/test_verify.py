@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from freenil2 import autgroup, cli, iastruct, involutions, verify
 from freenil2.errors import CanonicalizationPostconditionFailed
 from freenil2.nilcore import Element, mul_fold, pair_count
-from freenil2.sampling import random_symmetry_mod_ia
+from freenil2.sampling import random_minus_member, random_symmetry_mod_ia
 from freenil2.verify import CheckResult, VerificationReport
 from freenil2.wordlang import format_automorphism
 from freenil2.zlinalg import IntMatrix
@@ -179,7 +180,8 @@ def test_three_conjugates_failure_is_reported_exactly(monkeypatch):
     product = autgroup.compose(autgroup.compose(*conjugates[:2]), conjugates[2])
     # the probe finds nothing at trial index 0 and the pinned pair at index 1
     finds = iter([None, (conjugates, product)])
-    monkeypatch.setattr(involutions, "three_conjugates_probe", lambda sigma, rng: next(finds))
+    monkeypatch.setattr(involutions, "three_conjugates_probe",
+                        lambda sigma, conjugators: next(finds))
     theta = random_symmetry_mod_ia(verify._trial_rng(0, "three_conjugates", 2, 1), 2)
     assert verify.CHECKS["three_conjugates"](2, 5, 0) == CheckResult(
         "three_conjugates", "fail", 2, {
@@ -193,9 +195,19 @@ def test_three_conjugates_failure_is_reported_exactly(monkeypatch):
 
 
 def test_inversion_criterion_failure_is_reported_exactly(monkeypatch):
-    member = {"rank": 3, "images": ["x1*[x2,x3]", "x2", "x3"]}
-    failures = iter([None, None, {"member": member, "reason": "pinned"}])
-    monkeypatch.setattr(iastruct, "inversion_criterion_check",
-                        lambda rank, i, j, rng: next(failures))
+    # at rank 3 each trial asks the predicate three times; the fake answers
+    # wrongly from the seventh call on, the first of the third trial, which
+    # asks whether the shifting involution inverts the drawn minus member
+    real, calls = iastruct.inversion_criterion_check, itertools.count()
+
+    def wrong_from_the_third_trial(psi, alpha):
+        answer = real(psi, alpha)
+        return not answer if next(calls) >= 6 else answer
+
+    monkeypatch.setattr(iastruct, "inversion_criterion_check", wrong_from_the_third_trial)
+    rng = verify._trial_rng(0, "minus_inversion_criterion", 3, 2)
+    i = rng.randint(1, 3)
+    j = rng.choice([k for k in range(1, 4) if k != i])
+    member = format_automorphism(random_minus_member(rng, 3, i))
     assert verify.CHECKS["minus_inversion_criterion"](3, 10, 0) == CheckResult(
-        "minus_inversion_criterion", "fail", 3, {"member": member, "reason": "pinned"})
+        "minus_inversion_criterion", "fail", 3, {"i": i, "j": j, "member": member})
