@@ -2,25 +2,34 @@
 
 Every check reruns one of the desk-scale facts the package is built on, at a
 given rank.  A check is a body registered by ``_check``, which keeps the
-determinism contract in one place: trial t draws from an rng derived from
-(seed, check name, rank, t), so reports are rerun-identical and adding checks
-never perturbs existing ones.  ``_trial_rng`` is the only place the package
-seeds a ``random.Random``, and ``verify`` the only module that imports
-``sampling``: every draw comes from a trial's rng, and the library functions
-a check calls take the drawn values as arguments.  A pass reports the trials
-asked for, and a failure at trial t reports t + 1 trials and a serialized
-counterexample.  A check that raises fails at that trial, with the exception
-as its counterexample, so the rest of the suite still runs.
+determinism contract in one place: trial t draws from an rng seeded from a
+SHA-256 of (seed, check name, rank, t), so reports are rerun-identical and
+adding checks never perturbs existing ones.  The hash comes from the
+interpreter's built-in module, as ``random``'s own does, since ``hashlib``
+would load OpenSSL for one short digest a trial.  ``_trial_rng`` is the only
+place the package seeds a ``random.Random``, and ``verify`` the only module
+that imports ``sampling``: every draw comes from a trial's rng, and the
+library functions a check calls take the drawn values as arguments.  A pass
+reports the trials asked for, and a failure at trial t reports t + 1 trials
+and a serialized counterexample.  A check that raises fails at that trial,
+with the exception as its counterexample, so the rest of the suite still runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import index, mul
+
+try:  # the same digests as hashlib.sha256, without loading OpenSSL
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import autgroup, iastruct, involutions
 from .autgroup import Automorphism, InvolutionKind
@@ -100,7 +109,7 @@ class VerificationReport:
 
 
 def _trial_rng(seed: int, name: str, rank: int, trial: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}|{name}|{rank}|{trial}".encode()).digest()
+    digest = sha256(f"{seed}|{name}|{rank}|{trial}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -128,12 +137,14 @@ def _check(name: str, single: bool = False):
     pass or the counterexample of a failure; an exception it raises is a
     failure too, with the exception as the counterexample.  A pass reports
     the trials asked for, a failure the trials started (at least 1).  A
-    ``single`` check is one construction and counts as one trial.  Fewer
-    than one trial asked for is a ValueError, not a vacuous pass.
+    ``single`` check is one construction and counts as one trial.  A rank
+    or trial count that is not an integer is a TypeError, and fewer than one
+    trial asked for is a ValueError: usage errors, not failed verifications.
     """
 
     def register(body: Callable[[int, _Trials], dict | None]):
         def check(rank: int, trials: int, seed: int) -> CheckResult:
+            rank, trials = index(rank), index(trials)
             if trials < 1:
                 raise ValueError("trials must be >= 1; zero trials would pass vacuously")
             run = _Trials(seed, name, rank, 1 if single else trials)
@@ -676,6 +687,7 @@ def check_triplet_decoding(rank: int, trials: _Trials) -> dict | None:
 def run_suite(rank_min: int = 2, rank_max: int = 5, trials: int = 200,
               seed: int = 0) -> VerificationReport:
     """Run every check at every rank in [rank_min, rank_max]."""
+    rank_min, rank_max, trials = index(rank_min), index(rank_max), index(trials)
     if not 2 <= rank_min <= rank_max <= 8:
         raise ValueError("ranks must satisfy 2 <= rank_min <= rank_max <= 8")
     if trials < 1:
